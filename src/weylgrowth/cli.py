@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="deduplicate against all previous levels and assert the two-level window")
+                   help="also build each level by deduplicating all reflections against every earlier level, and check it matches")
     add_output(p)
 
     p = sub.add_parser("poincare", help="closed-form Poincare polynomial or affine series")

@@ -1,16 +1,19 @@
 """Breadth-first enumeration of Weyl group elements by word length.
 
-Each group element w is named by the coordinate vector of rho - w(rho)
+Each group element w is named by the coordinate vector gamma = rho - w(rho)
 over the simple roots.  These vectors are pairwise distinct across the
-whole group, have nonnegative entries, and applying a simple reflection
-to an element of length i-1 lands at length i or i-2, never elsewhere.
-That parity fact lets the enumerator keep only the last two level sets
-while generating the next one; level sizes are the growth coefficients.
+whole group and have nonnegative entries.  With pair = A gamma, reflecting
+node nu changes only coordinate nu, by p = 1 - pair[nu], which is never 0:
+the word length goes up by one when p > 0 and down by one when p < 0, so
+the left descents of w are the nodes mu with pair[mu] >= 2.
 
-Coordinates are stored as checked 64-bit integers.  Internally a level is
-a lexicographically sorted array of rows; when coordinates are small
-enough the rows are packed into single int64 keys, which keeps the
-HA3-to-order-27 run (about 6.7 million vectors) in the tens of megabytes.
+Level i is built from level i-1 alone by keeping an up-move only when its
+node is the smallest left descent of the child (the canonical parent, as in
+du Cloux's Coxeter programs and Casselman's "Computation in Coxeter groups").  Every element of level i then arises exactly
+once, so nothing is deduplicated and one level is held between steps;
+level sizes are the growth coefficients.  Coordinates are stored as checked
+64-bit integers.  Levels are processed in fixed-size chunks of parents,
+which bounds the temporaries of a step.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import json
 import os
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -38,15 +43,19 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
 _SAFE_BITS = 62
 
+# Parents per unit of work in a level step, and the unit that worker
+# threads share out.
+_CHUNK_ROWS = 1 << 14
+
 
 class CheckpointMismatchError(RuntimeError):
-    """A checkpoint file does not belong to this run (version or algebra)."""
+    """A checkpoint file does not belong to this run or is inconsistent."""
 
 
 @dataclass(frozen=True)
@@ -98,142 +107,130 @@ def gamma_reflect(gcm: GeneralizedCartanMatrix, gamma, mu: int) -> tuple[int, ..
     return coords[:mu] + (coords[mu] + 1 - pairing,) + coords[mu + 1:]
 
 
-class _RowCodec:
-    """Packs nonnegative coordinate rows into single int64 keys.
+def _check_coordinate_budget(A: np.ndarray, level: np.ndarray) -> None:
+    # With c = max|A| * rank, a child's coordinates are at most (c + 2) times
+    # the current maximum, and the pairings formed while building it at most
+    # c * (c + 3) times.
+    if level.size == 0:
+        return
+    c = int(np.abs(A).max()) * A.shape[0]
+    if int(level.max()) > (1 << _SAFE_BITS) // (c * (c + 3)):
+        raise OverflowError("coordinates exceed the checked 64-bit budget")
 
-    Big-endian field layout makes packed keys order-isomorphic to
-    lexicographic row order, so sorted keys unpack to sorted rows.
+
+def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """The children whose canonical parent is one of ``parents``.
+
+    ``pair`` is ``parents @ A.T``.  An up-move at node nu, where
+    p = 1 - pair[nu] is positive, gives the child gamma + p e_nu with pairing
+    pair + p A[:, nu]; it is kept when no mu < nu is a left descent of it.
     """
-
-    def __init__(self, rank: int):
-        self.bits = 63 // rank
-        self.bound = 1 << self.bits
-        self.shifts = (np.arange(rank - 1, -1, -1, dtype=np.int64) * self.bits)
-
-    def fits(self, rows: np.ndarray) -> bool:
-        return rows.size == 0 or (int(rows.min()) >= 0 and int(rows.max()) < self.bound)
-
-    def pack(self, rows: np.ndarray) -> np.ndarray:
-        return (rows << self.shifts).sum(axis=1)
-
-    def unpack(self, keys: np.ndarray) -> np.ndarray:
-        return ((keys[:, None] >> self.shifts) & (self.bound - 1)).astype(np.int64)
+    blocks = []
+    for nu in range(A.shape[0]):
+        idx = np.flatnonzero(pair[:, nu] <= 0)
+        p = 1 - pair[idx, nu]
+        if nu:
+            keep = (pair[idx, :nu] + p[:, None] * A[:nu, nu] < 2).all(axis=1)
+            idx, p = idx[keep], p[keep]
+        rows = parents[idx]
+        rows[:, nu] += p
+        blocks.append(rows)
+    return np.concatenate(blocks)
 
 
-def _void_view(rows: np.ndarray) -> np.ndarray:
-    rows = np.ascontiguousarray(rows)
-    return rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
+def _chunk_step(A: np.ndarray, build: bool, parents: np.ndarray):
+    pair = parents @ A.T
+    children = _children(A, parents, pair) if build else parents[:0]
+    return children, int(np.count_nonzero(pair <= 0)), int(np.count_nonzero(pair >= 2))
 
 
-def _rows_member(rows: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """Boolean mask of which rows occur in pool (row order irrelevant)."""
-    if len(pool) == 0 or len(rows) == 0:
-        return np.zeros(len(rows), dtype=bool)
-    rv = _void_view(rows)
-    pv = np.sort(_void_view(pool))
-    idx = np.searchsorted(pv, rv)
-    clipped = np.minimum(idx, len(pv) - 1)
-    return (idx < len(pv)) & (pv[clipped] == rv)
+def _next_level(A: np.ndarray, level: np.ndarray, build: bool = True, mapper=map):
+    """(children, up-edges leaving level, left descents in level).
 
-
-def _keys_member(keys: np.ndarray, pool_sorted: np.ndarray) -> np.ndarray:
-    if len(pool_sorted) == 0:
-        return np.zeros(len(keys), dtype=bool)
-    idx = np.searchsorted(pool_sorted, keys)
-    clipped = np.minimum(idx, len(pool_sorted) - 1)
-    return (idx < len(pool_sorted)) & (pool_sorted[clipped] == keys)
-
-
-def _lex_sorted(rows: np.ndarray) -> np.ndarray:
-    if len(rows) < 2:
-        return rows
-    return rows[np.lexsort(rows.T[::-1])]
+    Chunks of _CHUNK_ROWS parents are mapped with ``mapper`` and joined in
+    chunk order, so the mapper cannot change the result.  With ``build``
+    false only the two totals are computed.
+    """
+    if build:
+        _check_coordinate_budget(A, level)
+    chunks = [level[s:s + _CHUNK_ROWS] for s in range(0, len(level), _CHUNK_ROWS)]
+    parts = list(mapper(partial(_chunk_step, A, build), chunks))
+    children = np.concatenate([c for c, _, _ in parts]) if parts else level[:0]
+    if children.size and int(children.min()) < 0:
+        raise RuntimeError("negative coordinate generated: enumeration invariant violated")
+    return children, sum(u for _, u, _ in parts), sum(d for _, _, d in parts)
 
 
 def _reflect_all(A: np.ndarray, level: np.ndarray) -> np.ndarray:
     """All rank reflections of every row, stacked."""
-    rank = A.shape[0]
     pair = level @ A.T  # pair[:, mu] = <row mu of A, gamma>
     blocks = []
-    for mu in range(rank):
+    for mu in range(A.shape[0]):
         block = level.copy()
         block[:, mu] += 1 - pair[:, mu]
         blocks.append(block)
     return np.concatenate(blocks)
 
 
-def _candidate_rows(A: np.ndarray, level: np.ndarray, workers: int) -> np.ndarray:
-    if workers <= 1 or len(level) < 4096:
-        return _reflect_all(A, level)
-    chunks = np.array_split(level, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(lambda chunk: _reflect_all(A, chunk), chunks))
-    return np.concatenate(parts)
-
-
-def _check_coordinate_budget(A: np.ndarray, level: np.ndarray) -> None:
-    # New coordinate magnitude is at most (max|A| * rank + 2) * current max.
-    if level.size == 0:
-        return
-    scale = int(np.abs(A).max()) * A.shape[0] + 2
-    if int(level.max()) > (1 << _SAFE_BITS) // scale:
-        raise OverflowError("coordinates exceed the checked 64-bit budget")
-
-
-def _next_level(
-    A: np.ndarray,
-    prev2: np.ndarray,
-    prev1: np.ndarray,
-    codec: _RowCodec,
-    index: int,
-    workers: int = 1,
-    history: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """Candidates from prev1, deduplicated within and against prev2.
-
-    With ``history`` (all earlier levels, for debug runs) every candidate
-    is checked against the full past and must only ever match level
-    index-2; any other match means the two-level window assumption broke.
-    Rows of the result are lexicographically sorted.
+def _reference_level(A: np.ndarray, prev: np.ndarray, index: int, history: dict) -> set:
+    """Level ``index`` as all reflections of level index-1 minus every earlier
+    level (``history`` maps rows to levels); a hit outside level index-2 is
+    an error.  Shares nothing with the canonical-parent rule but the input.
     """
-    _check_coordinate_budget(A, prev1)
-    cands = _candidate_rows(A, prev1, workers)
-    if cands.size and int(cands.min()) < 0:
-        raise RuntimeError("negative coordinate generated: enumeration invariant violated")
-    if history is not None:
-        uniq = _lex_sorted(np.unique(cands, axis=0))
-        keep = np.ones(len(uniq), dtype=bool)
-        for j, past in enumerate(history):
-            hits = _rows_member(uniq, past)
-            if j == index - 2:
-                keep &= ~hits
-            elif hits.any():
-                raise RuntimeError(
-                    f"dedup window violated: candidate for level {index} already in level {j}"
-                )
-        return uniq[keep]
-    if codec.fits(cands) and codec.fits(prev2):
-        keys = np.unique(codec.pack(cands))
-        prev_keys = codec.pack(prev2) if len(prev2) else np.zeros(0, dtype=np.int64)
-        return codec.unpack(keys[~_keys_member(keys, prev_keys)])
-    uniq = np.unique(cands, axis=0)
-    return _lex_sorted(uniq[~_rows_member(uniq, prev2)])
+    found = set()
+    for row in map(tuple, np.unique(_reflect_all(A, prev), axis=0).tolist()):
+        seen = history.get(row)
+        if seen is None:
+            found.add(row)
+        elif seen != index - 2:
+            raise RuntimeError(f"reflection for level {index} already in level {seen}")
+    return found
+
+
+def _levels(A: np.ndarray, level: np.ndarray, first: int, max_order: int,
+            workers: int = 1, full_history: bool = False):
+    """Yield the nonempty levels first..max_order that follow level first-1.
+
+    A level is yielded once the next step has checked that its left
+    descents, summed, equal the up-edges that led into it (the last level
+    gets a counting-only pass).  With ``full_history`` each level must also
+    equal, as a set, its :func:`_reference_level`.
+    """
+    rank = A.shape[0]
+    history = {tuple(int(x) for x in level[0]): first - 1} if full_history else None
+    up_edges = None  # up-edges into ``level``; unknown for a resumed level
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
+        for i in range(first, max_order + 2):
+            children, up, descents = _next_level(A, level, i <= max_order, mapper)
+            if up_edges is not None and descents != up_edges:
+                raise RuntimeError(f"level {i - 1}: {up_edges} up-edges lead in, {descents} left descents")
+            if i > first and len(level):
+                yield level
+            if i > max_order or len(level) == 0:
+                return
+            if len(children) > rank * len(level):
+                raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
+            if history is not None:
+                expected = _reference_level(A, level, i, history)
+                if len(expected) != len(children) or expected != set(map(tuple, children.tolist())):
+                    raise RuntimeError(f"level {i} differs from its full-history reference")
+                history.update(dict.fromkeys(expected, i))
+            level, up_edges = children, up
 
 
 @dataclass(frozen=True)
 class LevelCheckpoint:
-    """Resumable state after finishing a level: the two retained sets.
+    """Resumable state after finishing a level: its rows and the counts so far.
 
-    ``newer`` is the just-finished level ``level_index`` and ``older`` the
-    one before it; together with the counts so far that is everything the
-    enumerator needs to continue.  A level is the atomic unit; there is no
-    mid-level resume.
+    That is all the enumerator needs to continue.  A level is the atomic
+    unit; there is no mid-level resume.  :meth:`load` rejects a file whose
+    counts, rows and algebra do not fit together.
     """
 
     algebra_digest: str
     level_index: int
-    older: np.ndarray
-    newer: np.ndarray
+    level: np.ndarray
     coeffs: tuple[int, ...]
     complete: bool
     version: int = CHECKPOINT_VERSION
@@ -247,27 +244,27 @@ class LevelCheckpoint:
                 version=np.int64(self.version),
                 algebra_digest=np.str_(self.algebra_digest),
                 level_index=np.int64(self.level_index),
-                older=self.older,
-                newer=self.newer,
+                level=self.level,
                 coeffs=np.asarray(self.coeffs, dtype=np.int64),
                 complete=np.bool_(self.complete),
             )
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
 
     @staticmethod
-    def load(path) -> "LevelCheckpoint":
+    def load(path, gcm: GeneralizedCartanMatrix | None = None) -> "LevelCheckpoint":
+        """Read a checkpoint; with ``gcm``, it must also have been written for it."""
         try:
             with np.load(Path(path), allow_pickle=False) as data:
                 version = int(data["version"])
                 if version != CHECKPOINT_VERSION:
-                    raise CheckpointMismatchError(
-                        f"checkpoint format version {version}, expected {CHECKPOINT_VERSION}"
-                    )
-                return LevelCheckpoint(
+                    raise CheckpointMismatchError(f"checkpoint format version {version}, "
+                                                  f"expected {CHECKPOINT_VERSION}")
+                state = LevelCheckpoint(
                     algebra_digest=str(data["algebra_digest"]),
                     level_index=int(data["level_index"]),
-                    older=data["older"].astype(np.int64),
-                    newer=data["newer"].astype(np.int64),
+                    level=data["level"].astype(np.int64),
                     coeffs=tuple(int(c) for c in data["coeffs"]),
                     complete=bool(data["complete"]),
                     version=version,
@@ -276,6 +273,27 @@ class LevelCheckpoint:
             raise
         except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
+        if gcm is not None and state.algebra_digest != gcm_digest(gcm):
+            raise CheckpointMismatchError("checkpoint belongs to a different algebra")
+        problem = state._inconsistency(gcm.rank if gcm is not None else None)
+        if problem:
+            raise CheckpointMismatchError(f"inconsistent checkpoint {path}: {problem}")
+        return state
+
+    def _inconsistency(self, rank: int | None) -> str:
+        level, coeffs = self.level, self.coeffs
+        if self.level_index < 0 or len(coeffs) != self.level_index + 1:
+            return f"{len(coeffs)} coefficients for level {self.level_index}"
+        if level.ndim != 2 or (rank is not None and level.shape[1] != rank):
+            return f"level rows have shape {level.shape}, expected width {rank}"
+        if len(level) != coeffs[-1]:
+            return f"level {self.level_index} has {len(level)} rows but count {coeffs[-1]}"
+        if level.size and int(level.min()) < 0:
+            return "negative coordinate"
+        ordered = level[np.lexsort(level.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            return "repeated row"
+        return ""
 
 
 def enumerate_levels(
@@ -290,14 +308,15 @@ def enumerate_levels(
     """Grow level sets up to max_order and count them.
 
     The result is a pure function of (gcm, max_order): worker count,
-    checkpointing, and the debug dedup mode never change the coefficients.
-    If some level comes out empty the group is finite and fully
-    enumerated; the series stops at the last nonempty level and is marked
-    complete.
+    checkpointing, and the full-history cross-check never change the
+    coefficients.  If some level comes out empty the group is finite and
+    fully enumerated; the series stops at the last nonempty level and is
+    marked complete.
 
     A checkpoint file, when given, is rewritten after every finished level
-    and picked up transparently on the next call; resuming a file written
-    for a different matrix raises CheckpointMismatchError.
+    and picked up transparently on the next call; a file written for a
+    different matrix, or one whose contents do not fit together, raises
+    CheckpointMismatchError.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -307,42 +326,29 @@ def enumerate_levels(
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
 
     A = np.asarray(gcm.entries, dtype=np.int64)
-    rank = gcm.rank
     digest = gcm_digest(gcm)
     coeffs = [1]
-    prev2 = np.zeros((0, rank), dtype=np.int64)
-    prev1 = np.zeros((1, rank), dtype=np.int64)
+    level = np.zeros((1, gcm.rank), dtype=np.int64)
     first = 1
 
     ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
     if ckpt is not None and ckpt.exists():
-        state = LevelCheckpoint.load(ckpt)
-        if state.algebra_digest != digest:
-            raise CheckpointMismatchError("checkpoint belongs to a different algebra")
+        state = LevelCheckpoint.load(ckpt, gcm)
         if state.complete and max_order >= len(state.coeffs):
             return GrowthSeries(state.coeffs, True, algebra_name)
         if max_order <= state.level_index:
             return GrowthSeries(state.coeffs[: max_order + 1], False, algebra_name)
         coeffs = list(state.coeffs)
-        prev2, prev1 = state.older, state.newer
+        level = state.level
         first = state.level_index + 1
 
-    history = [prev1.copy()] if full_history_dedup else None
-    codec = _RowCodec(rank)
-    complete = False
-    for i in range(first, max_order + 1):
-        level = _next_level(A, prev2, prev1, codec, i, workers=workers, history=history)
-        if len(level) == 0:
-            complete = True
-            if ckpt is not None:
-                LevelCheckpoint(digest, i - 1, prev2, prev1, tuple(coeffs), True).save(ckpt)
-            break
+    for i, level in enumerate(_levels(A, level, first, max_order, workers, full_history_dedup), first):
         coeffs.append(len(level))
-        if history is not None:
-            history.append(level)
-        prev2, prev1 = prev1, level
         if ckpt is not None:
-            LevelCheckpoint(digest, i, prev2, prev1, tuple(coeffs), False).save(ckpt)
+            LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
+    complete = len(coeffs) <= max_order  # an empty level ended the run early
+    if complete and ckpt is not None:
+        LevelCheckpoint(digest, len(coeffs) - 1, level, tuple(coeffs), True).save(ckpt)
     return GrowthSeries(tuple(coeffs), complete, algebra_name)
 
 
@@ -354,27 +360,16 @@ def level_sets(
 ) -> list[np.ndarray]:
     """The actual level sets, for inspection and property tests.
 
-    Returns one (n, rank) array per level starting with the zero vector at
-    level 0, using the same core as :func:`enumerate_levels`.  Stops early
-    at the first empty level.
+    Returns one (n, rank) array of lexicographically sorted rows per level,
+    starting with the zero vector at level 0, using the same core as
+    :func:`enumerate_levels`.  Stops early at the first empty level.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     A = np.asarray(gcm.entries, dtype=np.int64)
-    codec = _RowCodec(gcm.rank)
-    prev2 = np.zeros((0, gcm.rank), dtype=np.int64)
-    prev1 = np.zeros((1, gcm.rank), dtype=np.int64)
-    levels = [prev1.copy()]
-    history = [prev1.copy()] if full_history_dedup else None
-    for i in range(1, max_order + 1):
-        level = _next_level(A, prev2, prev1, codec, i, history=history)
-        if len(level) == 0:
-            break
-        levels.append(level)
-        if history is not None:
-            history.append(level)
-        prev2, prev1 = prev1, level
-    return levels
+    zero = np.zeros((1, gcm.rank), dtype=np.int64)
+    levels = _levels(A, zero, 1, max_order, full_history=full_history_dedup)
+    return [zero] + [level[np.lexsort(level.T[::-1])] for level in levels]
 
 
 def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name: str = "") -> GrowthSeries:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 
 from weylgrowth.cli import main
@@ -109,6 +110,17 @@ def test_growth_checkpoint_mismatch_exits_4(capsys, tmp_path):
     run(capsys, ["growth", "--algebra", "A2", "--order", "2", "--checkpoint", str(ck)])
     code, _ = run(capsys, ["growth", "--algebra", "A3", "--order", "2", "--checkpoint", str(ck)])
     assert code == 4
+
+
+def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
+    ck = tmp_path / "state.npz"
+    run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
+    data = dict(np.load(ck, allow_pickle=False))
+    data["coeffs"][-1] += 1
+    with open(ck, "wb") as fh:
+        np.savez(fh, **data)
+    code, out = run(capsys, ["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
+    assert code == 4 and out == ""
 
 
 def test_checkpoint_env_dir(capsys, tmp_path, monkeypatch):

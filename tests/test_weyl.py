@@ -1,7 +1,11 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from weylgrowth import weyl
 from weylgrowth import (
     CheckpointMismatchError,
     build_catalog,
@@ -127,10 +131,54 @@ def test_full_history_dedup_matches_windowed():
         )
 
 
+def test_chunked_threads_keep_row_order(monkeypatch, tmp_path):
+    # Small chunks make every level span many chunks shared by the threads.
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    gcm = build_catalog("HA3").gcm
+    rows = {}
+    for workers in (1, 3):
+        ck = tmp_path / f"w{workers}.npz"
+        assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
+        rows[workers] = weyl.LevelCheckpoint.load(ck, gcm).level
+    assert np.array_equal(rows[1], rows[3])
+
+
+@pytest.mark.parametrize("order", [1, 6])
+def test_lost_child_breaks_the_edge_count(monkeypatch, tmp_path, order):
+    real = weyl._children
+    monkeypatch.setattr(weyl, "_children", lambda A, parents, pair: real(A, parents, pair)[1:])
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(RuntimeError, match="up-edges"):
+        enumerate_levels(build_catalog("HA2").gcm, order, ck)
+    assert not ck.exists()  # the short level 1 is caught before it is saved
+
+
+@st.composite
+def small_gcm(draw):
+    n = draw(st.integers(2, 4))
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    bonds = st.sampled_from((-1, -2, -3))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                m[i][j], m[j][i] = draw(bonds), draw(bonds)
+    return validate_gcm(m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_gcm())
+def test_enumerator_oracle_and_reference_agree(gcm):
+    # Most drawn matrices are not symmetric, so the orientation of A in the
+    # canonical-parent rule (rows pair, columns move) matters here.
+    series = enumerate_levels(gcm, 8)
+    assert weyl_orbit_oracle(gcm, 8) == series
+    assert enumerate_levels(gcm, 8, full_history_dedup=True) == series
+
+
 def test_deep_run_overflow_is_detected():
-    # Triple-bond rank-2 matrix: coordinates grow geometrically, crossing the
-    # packed-key bound (exercising the row fallback) and finally the 64-bit
-    # budget, which must be a hard error.
+    # Triple-bond rank-2 matrix: coordinates grow geometrically, reaching
+    # 2**55 by order 40 and finally the 64-bit budget, which must be a hard
+    # error.
     gcm = validate_gcm([[2, -3], [-3, 2]])
     deep = enumerate_levels(gcm, 40)
     assert deep.coeffs == (1,) + (2,) * 40 and not deep.complete
@@ -232,16 +280,53 @@ def test_checkpoint_rejects_other_algebra(tmp_path):
         enumerate_levels(build_catalog("A3").gcm, 4, ck)
 
 
+def _rewrite_checkpoint(ck, drop=(), **changes):
+    data = dict(np.load(ck, allow_pickle=False))
+    for key in drop:
+        del data[key]
+    data.update(changes)
+    with open(ck, "wb") as fh:
+        np.savez(fh, **data)
+
+
 def test_checkpoint_rejects_unknown_version(tmp_path):
     gcm = build_catalog("A2").gcm
     ck = tmp_path / "state.npz"
     enumerate_levels(gcm, 2, ck)
-    data = dict(np.load(ck, allow_pickle=False))
-    data["version"] = np.int64(99)
-    with open(ck, "wb") as fh:
-        np.savez(fh, **data)
+    _rewrite_checkpoint(ck, version=np.int64(99))
     with pytest.raises(CheckpointMismatchError, match="version"):
         enumerate_levels(gcm, 4, ck)
+    # The two-level layout of format version 1.
+    _rewrite_checkpoint(ck, drop=["level"], version=np.int64(1),
+                        older=np.eye(2, dtype=np.int64), newer=np.load(ck)["level"])
+    with pytest.raises(CheckpointMismatchError, match="version"):
+        enumerate_levels(gcm, 4, ck)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: {"coeffs": np.r_[data["coeffs"][:-1], data["coeffs"][-1] + 1]},
+    lambda data: {"coeffs": data["coeffs"][:-1]},
+    lambda data: {"level_index": data["level_index"] + 1},
+    lambda data: {"level": data["level"][:, :-1]},
+    lambda data: {"level": -data["level"]},
+    lambda data: {"level": np.concatenate([data["level"][:-1], data["level"][:1]])},
+], ids=["last-count", "short-coeffs", "level-index", "width", "negative", "repeated-row"])
+def test_checkpoint_rejects_inconsistent_contents(tmp_path, edit):
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.npz"
+    enumerate_levels(gcm, 6, ck)
+    _rewrite_checkpoint(ck, **edit(dict(np.load(ck, allow_pickle=False))))
+    with pytest.raises(CheckpointMismatchError, match="inconsistent"):
+        enumerate_levels(gcm, 10, ck)
+
+
+def test_checkpoint_save_syncs_before_replace(tmp_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(weyl.os, "fsync", lambda fd: events.append("fsync"))
+    real_replace = weyl.os.replace
+    monkeypatch.setattr(weyl.os, "replace", lambda a, b: (events.append("replace"), real_replace(a, b)))
+    enumerate_levels(build_catalog("A2").gcm, 1, tmp_path / "a2.npz")
+    assert events == ["fsync", "replace"]
 
 
 def test_checkpoint_rejects_garbage_file(tmp_path):
@@ -249,6 +334,19 @@ def test_checkpoint_rejects_garbage_file(tmp_path):
     ck.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointMismatchError):
         enumerate_levels(build_catalog("A2").gcm, 4, ck)
+
+
+def test_profile_script_smoke(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "profile_enumeration.py"
+    spec = importlib.util.spec_from_file_location("profile_enumeration", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.profile("HA2", 6)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["level", "count", "total", "max", "coord", "seconds"]
+    table = [line.split() for line in lines[1:7]]
+    assert [int(row[1]) for row in table] == list(HA2_GROWTH_PREFIX[1:7])
+    assert lines[7].startswith(f"total elements {sum(HA2_GROWTH_PREFIX[:7])},")
 
 
 def test_digest_distinguishes_algebras():
