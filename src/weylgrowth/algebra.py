@@ -142,14 +142,6 @@ class AlgebraDescriptor:
     def is_finite(self) -> bool:
         return self.family in FINITE_FAMILIES
 
-    @property
-    def is_affine(self) -> bool:
-        return self.family == "AffA"
-
-    @property
-    def is_hyperbolic(self) -> bool:
-        return self.family == "HA"
-
 
 def validate_gcm(entries, labels=None) -> GeneralizedCartanMatrix:
     """Check the generalized Cartan matrix axioms and wrap the matrix.

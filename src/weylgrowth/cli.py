@@ -1,7 +1,8 @@
 """Command-line interface: catalog, growth, poincare, fit, verify-paper.
 
 Exit codes: 0 success (all checks pass for verify-paper), 1 verification
-failure, 2 invalid input, 3 arithmetic overflow, 4 checkpoint mismatch.
+failure, 2 invalid input, 3 arithmetic overflow, 4 checkpoint mismatch,
+5 internal error (an enumeration invariant failed).
 All numeric output is exact decimal integers.
 """
 
@@ -9,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import algebra, golden
@@ -43,23 +42,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_OVERFLOW = 3
 EXIT_CHECKPOINT = 4
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one command plus the knobs it needs."""
-
-    command: str
-    algebra: str | None = None
-    gcm_file: str | None = None
-    affine: str | None = None
-    candidate: str | None = None
-    order: int | None = None
-    margin: int = 5
-    output: str = "text"
-    checkpoint: str | None = None
-    workers: int = 1
-    debug_full_dedup: bool = False
+EXIT_INTERNAL = 5
 
 
 def _nonneg_int(text: str) -> int:
@@ -76,6 +59,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_growth_args(p: argparse.ArgumentParser) -> None:
+    """The source of the matrix and the enumeration flags of growth and fit."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--algebra", help="catalog name, e.g. A3, D5, AffA2, HA3")
+    group.add_argument("--gcm-file", help='JSON file {"labels": [...], "matrix": [[...]]}')
+    p.add_argument("--order", type=_nonneg_int, required=True, help="growth series order")
+    p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
+    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--debug-full-dedup", action="store_true",
+                   help="also build each level by deduplicating all reflections against every earlier level, and check it matches")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylgrowth",
@@ -83,203 +78,127 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
-        p.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    def command(name, run, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p
 
-    def add_source(p):
-        group = p.add_mutually_exclusive_group(required=True)
-        group.add_argument("--algebra", help="catalog name, e.g. A3, D5, AffA2, HA3")
-        group.add_argument("--gcm-file", help='JSON file {"labels": [...], "matrix": [[...]]}')
+    command("catalog", cmd_catalog, "list the algebra families the catalog can build")
 
-    p = sub.add_parser("catalog", help="list the algebra families the catalog can build")
-    add_output(p)
+    _add_growth_args(command("growth", cmd_growth, "enumerate the growth series of a Weyl group"))
 
-    p = sub.add_parser("growth", help="enumerate the growth series of a Weyl group")
-    add_source(p)
-    p.add_argument("--order", type=_nonneg_int, required=True)
-    p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--debug-full-dedup", action="store_true",
-                   help="also build each level by deduplicating all reflections against every earlier level, and check it matches")
-    add_output(p)
-
-    p = sub.add_parser("poincare", help="closed-form Poincare polynomial or affine series")
+    p = command("poincare", cmd_poincare, "closed-form Poincare polynomial or affine series")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--algebra", help="finite algebra for the polynomial")
     group.add_argument("--affine", help="finite algebra whose affinization to expand")
     p.add_argument("--order", type=_nonneg_int, help="truncation order (affine mode)")
-    add_output(p)
 
-    p = sub.add_parser("fit", help="divide a finite Poincare polynomial by a growth series")
-    add_source(p)
+    p = command("fit", cmd_fit, "divide a finite Poincare polynomial by a growth series")
+    _add_growth_args(p)
     p.add_argument("--candidate", required=True, help="finite algebra supplying the numerator")
-    p.add_argument("--order", type=_nonneg_int, required=True, help="growth series order")
     p.add_argument("--margin", type=_positive_int, default=5)
-    p.add_argument("--checkpoint")
-    p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--debug-full-dedup", action="store_true")
-    add_output(p)
 
-    p = sub.add_parser("verify-paper", help="recompute and check the built-in reference results")
+    p = command("verify-paper", cmd_verify_paper, "recompute and check the built-in reference results")
     p.add_argument("--order", type=_nonneg_int, default=27,
                    help="growth order for the hyperbolic runs (default 27; 12 is a quick CI gate)")
     p.add_argument("--margin", type=_positive_int, default=5)
     p.add_argument("--workers", type=_positive_int, default=1)
-    add_output(p)
 
+    for p in sub.choices.values():
+        p.add_argument("--output", choices=("text", "json", "csv"), default="text")
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        algebra=getattr(args, "algebra", None),
-        gcm_file=getattr(args, "gcm_file", None),
-        affine=getattr(args, "affine", None),
-        candidate=getattr(args, "candidate", None),
-        order=getattr(args, "order", None),
-        margin=getattr(args, "margin", 5),
-        output=getattr(args, "output", "text"),
-        checkpoint=getattr(args, "checkpoint", None),
-        workers=getattr(args, "workers", 1),
-        debug_full_dedup=getattr(args, "debug_full_dedup", False),
-    )
+def _growth(args: argparse.Namespace) -> GrowthSeries:
+    """Enumerate the matrix named by --algebra or --gcm-file up to --order."""
+    if args.algebra is not None:
+        desc = build_catalog(args.algebra)
+        name, gcm = desc.name, desc.gcm
+    else:
+        name, gcm = Path(args.gcm_file).stem, load_gcm_file(args.gcm_file)
+    checkpoint = args.checkpoint
+    if checkpoint is not None:
+        checkpoint = os.path.join(os.environ.get(CHECKPOINT_DIR_ENV, ""), checkpoint)
+    return enumerate_levels(gcm, args.order, checkpoint, workers=args.workers,
+                            full_history_dedup=args.debug_full_dedup, algebra_name=name)
 
 
-def _resolve_source(config: RunConfig) -> tuple[str, algebra.GeneralizedCartanMatrix]:
-    if config.algebra is not None:
-        desc = build_catalog(config.algebra)
-        return desc.name, desc.gcm
-    gcm = load_gcm_file(config.gcm_file)
-    return Path(config.gcm_file).stem, gcm
-
-
-def _resolve_checkpoint(path: str | None) -> str | None:
-    if path is None:
-        return None
-    base = os.environ.get(CHECKPOINT_DIR_ENV)
-    p = Path(path)
-    if base and not p.is_absolute():
-        p = Path(base) / p
-    return str(p)
-
-
-def _print(text: str) -> None:
-    sys.stdout.write(text)
-
-
-def _emit_csv(rows) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    _print(buf.getvalue())
-
-
-def _emit_coeff_table(payload: dict, fmt: str) -> None:
-    """Shared emitter for growth/poincare results keyed by coefficient list."""
+def _emit(fmt: str, payload, csv_rows, text: str) -> None:
+    """Write ``payload`` as JSON, ``csv_rows`` as CSV, or ``text`` as is."""
     if fmt == "json":
-        _print(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     elif fmt == "csv":
-        rows = [("index", "coefficient")]
-        rows += [(i, c) for i, c in enumerate(payload["coeffs"])]
-        _emit_csv(rows)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
-        for key, value in payload.items():
-            if key == "coeffs":
-                value = " ".join(str(c) for c in value)
-            _print(f"{key}: {value}\n")
+        sys.stdout.write(text)
 
 
-def cmd_catalog(config: RunConfig) -> int:
+def _lines(payload: dict) -> str:
+    """One "key: value" line per entry, with list values space-joined."""
+    return "".join(
+        f"{key}: {' '.join(map(str, value)) if isinstance(value, list) else value}\n"
+        for key, value in payload.items()
+    )
+
+
+def cmd_catalog(args: argparse.Namespace) -> int:
     families = finite_families_help()
-    if config.output == "json":
-        _print(json.dumps(families, indent=2) + "\n")
-    elif config.output == "csv":
-        rows = [("name", "ranks", "kind")]
-        rows += [(f["name"], f["ranks"], f["kind"]) for f in families]
-        _emit_csv(rows)
-    else:
-        for f in families:
-            _print(f"{f['name']:<8} {f['ranks']:<12} {f['kind']}\n")
+    _emit(args.output, families,
+          [("name", "ranks", "kind"), *((f["name"], f["ranks"], f["kind"]) for f in families)],
+          "".join(f"{f['name']:<8} {f['ranks']:<12} {f['kind']}\n" for f in families))
     return EXIT_OK
 
 
-def cmd_growth(config: RunConfig) -> int:
-    name, gcm = _resolve_source(config)
-    series = enumerate_levels(
-        gcm,
-        config.order,
-        _resolve_checkpoint(config.checkpoint),
-        workers=config.workers,
-        full_history_dedup=config.debug_full_dedup,
-        algebra_name=name,
-    )
-    _emit_coeff_table(
-        {"algebra": name, "order": series.order, "coeffs": list(series.coeffs),
-         "complete": series.complete},
-        config.output,
-    )
+def cmd_growth(args: argparse.Namespace) -> int:
+    series = _growth(args)
+    payload = {"algebra": series.algebra, "order": series.order, "coeffs": list(series.coeffs),
+               "complete": series.complete}
+    _emit(args.output, payload, [("index", "coefficient"), *enumerate(series.coeffs)], _lines(payload))
     return EXIT_OK
 
 
-def cmd_poincare(config: RunConfig) -> int:
-    if config.affine is not None:
-        if config.order is None:
+def cmd_poincare(args: argparse.Namespace) -> int:
+    if args.affine is not None:
+        if args.order is None:
             raise ValueError("affine mode requires --order")
-        desc = build_catalog(config.affine)
+        desc = build_catalog(args.affine)
         degrees = invariant_degrees(desc)  # NotFiniteError for non-finite bases
-        series = affine_poincare(degrees, config.order)
-        _emit_coeff_table(
-            {"algebra": f"affine {desc.name}", "order": series.order, "coeffs": list(series.coeffs)},
-            config.output,
-        )
-        return EXIT_OK
-    desc = build_catalog(config.algebra)
-    poly = finite_poincare(invariant_degrees(desc))
-    _emit_coeff_table({"algebra": desc.name, "coeffs": list(poly.coeffs)}, config.output)
+        series = affine_poincare(degrees, args.order)
+        payload = {"algebra": f"affine {desc.name}", "order": series.order, "coeffs": list(series.coeffs)}
+    else:
+        desc = build_catalog(args.algebra)
+        payload = {"algebra": desc.name, "coeffs": list(finite_poincare(invariant_degrees(desc)).coeffs)}
+    _emit(args.output, payload, [("index", "coefficient"), *enumerate(payload["coeffs"])], _lines(payload))
     return EXIT_OK
 
 
-def cmd_fit(config: RunConfig) -> int:
-    name, gcm = _resolve_source(config)
-    candidate = build_catalog(config.candidate)
+def cmd_fit(args: argparse.Namespace) -> int:
+    candidate = build_catalog(args.candidate)
     numerator = finite_poincare(invariant_degrees(candidate))
-    growth = enumerate_levels(
-        gcm, config.order, _resolve_checkpoint(config.checkpoint),
-        workers=config.workers, full_history_dedup=config.debug_full_dedup,
-        algebra_name=name,
-    )
-    result = ratio_fit(numerator, growth, config.margin)
+    growth = _growth(args)
+    result = ratio_fit(numerator, growth, args.margin)
+    quotient = list(result.quotient.coeffs) if result.quotient is not None else None
     payload = {
-        "algebra": name,
+        "algebra": growth.algebra,
         "candidate": candidate.name,
         "order": growth.order,
-        "margin": config.margin,
+        "margin": args.margin,
         "verdict": result.verdict,
         "degree": result.degree,
         "margin_checked": result.margin_checked,
-        "quotient": list(result.quotient.coeffs) if result.quotient is not None else None,
+        "quotient": quotient,
         "evidence": list(result.evidence),
     }
-    if config.output == "json":
-        _print(json.dumps(payload, indent=2) + "\n")
-    elif config.output == "csv":
-        rows = [("index", "coefficient"),
-                ("verdict", result.verdict),
-                ("degree", "" if result.degree is None else result.degree),
-                ("margin_checked", result.margin_checked),
-                ("evidence", " ".join(str(i) for i in result.evidence))]
-        if result.quotient is not None:
-            rows += [(i, c) for i, c in enumerate(result.quotient.coeffs)]
-        _emit_csv(rows)
-    else:
-        for key, value in payload.items():
-            if key in ("quotient", "evidence"):
-                value = "" if value is None else " ".join(str(c) for c in value)
-            _print(f"{key}: {value}\n")
-        if result.quotient is not None:
-            _print(f"quotient_polynomial: {result.quotient}\n")
+    rows = [("index", "coefficient"),
+            ("verdict", result.verdict),
+            ("degree", "" if result.degree is None else result.degree),
+            ("margin_checked", result.margin_checked),
+            ("evidence", " ".join(map(str, result.evidence))),
+            *enumerate(quotient or [])]
+    text = _lines({**payload, "quotient": quotient or []})
+    if result.quotient is not None:
+        text += f"quotient_polynomial: {result.quotient}\n"
+    _emit(args.output, payload, rows, text)
     return EXIT_OK
 
 
@@ -314,7 +233,7 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
             ok = (
                 result.is_polynomial
                 and result.quotient == expected_q
-                and series_mul(TruncatedSeries(growth.coeffs), result.quotient).coeffs
+                and series_mul(growth, result.quotient).coeffs
                 == TruncatedSeries.from_polynomial(numerator, growth.order).coeffs
             )
             if ok:
@@ -324,7 +243,7 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
                 list(result.quotient.coeffs) if result.quotient is not None
                 else f"non_terminating {list(result.evidence)}")
         else:
-            q = series_div(numerator, TruncatedSeries(growth.coeffs), growth.order).coeffs
+            q = series_div(numerator, growth, growth.order).coeffs
             want = TruncatedSeries.from_polynomial(expected_q, growth.order).coeffs
             add(f"{item}-prefix", "pass" if q == want else "fail", list(want), list(q))
 
@@ -378,43 +297,28 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
     return items
 
 
-def cmd_verify_paper(config: RunConfig) -> int:
-    items = _verify_report(config.order, config.margin, config.workers)
-    if config.output == "json":
-        _print(json.dumps(items, indent=2) + "\n")
-    elif config.output == "csv":
-        rows = [("item", "status", "expected", "actual")]
-        rows += [(i["item"], i["status"], i["expected"], i["actual"]) for i in items]
-        _emit_csv(rows)
-    else:
-        width = max(len(i["item"]) for i in items)
-        for i in items:
-            line = f"{i['status'].upper():<5} {i['item']:<{width}}"
-            if i["status"] == "fail":
-                line += f"  expected {i['expected']}  actual {i['actual']}"
-            elif i["status"] == "skip":
-                line += f"  ({i['actual']})"
-            _print(line.rstrip() + "\n")
-        failed = sum(1 for i in items if i["status"] == "fail")
-        _print(f"{len(items)} checks, {failed} failed\n")
-    return EXIT_OK if all(i["status"] != "fail" for i in items) else EXIT_VERIFY_FAILED
-
-
-_COMMANDS = {
-    "catalog": cmd_catalog,
-    "growth": cmd_growth,
-    "poincare": cmd_poincare,
-    "fit": cmd_fit,
-    "verify-paper": cmd_verify_paper,
-}
+def cmd_verify_paper(args: argparse.Namespace) -> int:
+    items = _verify_report(args.order, args.margin, args.workers)
+    width = max(len(i["item"]) for i in items)
+    text = ""
+    for i in items:
+        line = f"{i['status'].upper():<5} {i['item']:<{width}}"
+        if i["status"] == "fail":
+            line += f"  expected {i['expected']}  actual {i['actual']}"
+        elif i["status"] == "skip":
+            line += f"  ({i['actual']})"
+        text += line.rstrip() + "\n"
+    failed = sum(1 for i in items if i["status"] == "fail")
+    text += f"{len(items)} checks, {failed} failed\n"
+    _emit(args.output, items, [("item", "status", "expected", "actual"), *(i.values() for i in items)], text)
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    config = _config_from_args(args)
     try:
-        return _COMMANDS[config.command](config)
-    except CheckpointMismatchError as exc:
+        return args.run(args)
+    except CheckpointMismatchError as exc:  # a RuntimeError, so it comes first
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
     except OverflowError as exc:
@@ -423,6 +327,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -289,10 +289,7 @@ def finite_poincare(degrees) -> IntPolynomial:
     ds = [int(d) for d in degrees]
     if any(d < 2 for d in ds):
         raise ValueError("invariant degrees must all be >= 2")
-    out = IntPolynomial((1,))
-    for d in ds:
-        out = out * IntPolynomial((1,) * d)
-    return out
+    return expand_factored(IntPolynomial((1,) * d) for d in ds)
 
 
 def affine_poincare(degrees, order: int) -> TruncatedSeries:
@@ -349,11 +346,6 @@ def cyclotomic_trial_division(p: IntPolynomial, max_cyclotomic_index: int):
         if mult:
             factors.append((k, mult))
     return tuple(factors), p
-
-
-def cyclotomic_factor_polynomial(index: int) -> IntPolynomial:
-    """The divisor polynomial used by trial division for a given index."""
-    return IntPolynomial((1, -1)) if index == 1 else cyclotomic_polynomial(index)
 
 
 def polynomial_from_json_dict(obj) -> IntPolynomial:

@@ -43,7 +43,7 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -225,7 +225,8 @@ class LevelCheckpoint:
 
     That is all the enumerator needs to continue.  A level is the atomic
     unit; there is no mid-level resume.  :meth:`load` rejects a file whose
-    counts, rows and algebra do not fit together.
+    counts, rows and algebra do not fit together, or whose counts do not
+    match the :attr:`content_digest` stored with them.
     """
 
     algebra_digest: str
@@ -234,6 +235,16 @@ class LevelCheckpoint:
     coeffs: tuple[int, ...]
     complete: bool
     version: int = CHECKPOINT_VERSION
+
+    @property
+    def content_digest(self) -> str:
+        """sha256 over the algebra digest, level index, complete flag and counts.
+
+        The rows are not hashed: the zip CRC-32 catches their corruption, and
+        :meth:`load` checks them against the counts.
+        """
+        fields = np.asarray([self.level_index, self.complete, *self.coeffs], dtype="<i8")
+        return hashlib.sha256(self.algebra_digest.encode() + fields.tobytes()).hexdigest()
 
     def save(self, path) -> None:
         path = Path(path)
@@ -247,6 +258,7 @@ class LevelCheckpoint:
                 level=self.level,
                 coeffs=np.asarray(self.coeffs, dtype=np.int64),
                 complete=np.bool_(self.complete),
+                content_digest=np.str_(self.content_digest),
             )
             fh.flush()
             os.fsync(fh.fileno())
@@ -269,18 +281,19 @@ class LevelCheckpoint:
                     complete=bool(data["complete"]),
                     version=version,
                 )
+                digest = str(data["content_digest"])
         except CheckpointMismatchError:
             raise
         except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
         if gcm is not None and state.algebra_digest != gcm_digest(gcm):
             raise CheckpointMismatchError("checkpoint belongs to a different algebra")
-        problem = state._inconsistency(gcm.rank if gcm is not None else None)
+        problem = state._inconsistency(gcm.rank if gcm is not None else None, digest)
         if problem:
             raise CheckpointMismatchError(f"inconsistent checkpoint {path}: {problem}")
         return state
 
-    def _inconsistency(self, rank: int | None) -> str:
+    def _inconsistency(self, rank: int | None, digest: str) -> str:
         level, coeffs = self.level, self.coeffs
         if self.level_index < 0 or len(coeffs) != self.level_index + 1:
             return f"{len(coeffs)} coefficients for level {self.level_index}"
@@ -293,6 +306,8 @@ class LevelCheckpoint:
         ordered = level[np.lexsort(level.T)]
         if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             return "repeated row"
+        if digest != self.content_digest:
+            return "counts do not match their digest"
         return ""
 
 

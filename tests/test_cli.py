@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from weylgrowth import weyl
 from weylgrowth.cli import main
 
 
@@ -92,6 +93,15 @@ def test_growth_bad_gcm_file_exits_2(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, ["growth", "--gcm-file", str(tmp_path / "missing.json"), "--order", "2"])
     assert code == 2
+
+
+def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
+    children = weyl._children
+    monkeypatch.setattr(weyl, "_children", lambda *args: children(*args)[1:])
+    code = main(["growth", "--algebra", "HA2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("error: level 1: 4 up-edges lead in, 3 left descents")
 
 
 # -------------------------------------------------------------- checkpoints
@@ -234,3 +244,79 @@ def test_verify_paper_csv(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["item", "status", "expected", "actual"]
     assert all(row[1] in ("pass", "fail", "skip") for row in rows[1:])
+
+
+# ------------------------------------------------------ text output, exactly
+
+TEXT_OUTPUTS = {
+    "fit --algebra HA2 --candidate A3 --order 24": (
+        "algebra: HA2\n"
+        "candidate: A3\n"
+        "order: 24\n"
+        "margin: 5\n"
+        "verdict: polynomial\n"
+        "degree: 5\n"
+        "margin_checked: 19\n"
+        "quotient: 1 -1 -1 0 0 1\n"
+        "evidence: \n"
+        "quotient_polynomial: 1 - t - t^2 + t^5\n"
+    ),
+    "fit --algebra HA3 --candidate A4 --order 17": (
+        "algebra: HA3\n"
+        "candidate: A4\n"
+        "order: 17\n"
+        "margin: 5\n"
+        "verdict: non_terminating\n"
+        "degree: None\n"
+        "margin_checked: 0\n"
+        "quotient: \n"
+        "evidence: 13 14 15 16 17\n"
+    ),
+    "growth --algebra A3 --order 99": (
+        "algebra: A3\n"
+        "order: 6\n"
+        "coeffs: 1 3 5 6 5 3 1\n"
+        "complete: True\n"
+    ),
+    "poincare --affine A2 --order 9": (
+        "algebra: affine A2\n"
+        "order: 9\n"
+        "coeffs: 1 3 6 9 12 15 18 21 24 27\n"
+    ),
+    "catalog": (
+        "A<n>     n >= 1       finite\n"
+        "B<n>     n >= 2       finite\n"
+        "C<n>     n >= 2       finite\n"
+        "D<n>     n >= 3       finite\n"
+        "E<n>     6 <= n <= 8  finite\n"
+        "F<n>     n = 4        finite\n"
+        "G<n>     n = 2        finite\n"
+        "AffA<n>  n >= 1       affine\n"
+        "HA<n>    n >= 2       hyperbolic (over-extended)\n"
+    ),
+    "verify-paper --order 12": (
+        "PASS  growth-ha3\n"
+        "PASS  fit-ha3-d5-prefix\n"
+        "PASS  fit-ha2-d4-prefix\n"
+        "PASS  fit-ha2-a3\n"
+        "PASS  fit-ha2-a4-prefix\n"
+        "SKIP  nonterminating-ha3-a4      (needs order >= 15)\n"
+        "SKIP  nonterminating-ha3-a5      (needs order >= 20)\n"
+        "PASS  finite-order-a2\n"
+        "PASS  finite-order-a3\n"
+        "PASS  finite-order-a4\n"
+        "PASS  finite-order-d4\n"
+        "PASS  finite-order-d5\n"
+        "PASS  affine-series-a1\n"
+        "PASS  affine-series-a2\n"
+        "SKIP  cyclotomic-content-ha2-d4  (needs the full HA2/D4 fit (order >= 17))\n"
+        "15 checks, 0 failed\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", TEXT_OUTPUTS)
+def test_text_output_bytes(capsys, command):
+    code, out = run(capsys, command.split())
+    assert code == 0
+    assert out == TEXT_OUTPUTS[command]

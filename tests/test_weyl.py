@@ -296,6 +296,10 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     _rewrite_checkpoint(ck, version=np.int64(99))
     with pytest.raises(CheckpointMismatchError, match="version"):
         enumerate_levels(gcm, 4, ck)
+    # Format version 2: the same layout without the content digest.
+    _rewrite_checkpoint(ck, drop=["content_digest"], version=np.int64(2))
+    with pytest.raises(CheckpointMismatchError, match="version"):
+        enumerate_levels(gcm, 4, ck)
     # The two-level layout of format version 1.
     _rewrite_checkpoint(ck, drop=["level"], version=np.int64(1),
                         older=np.eye(2, dtype=np.int64), newer=np.load(ck)["level"])
@@ -310,7 +314,9 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     lambda data: {"level": data["level"][:, :-1]},
     lambda data: {"level": -data["level"]},
     lambda data: {"level": np.concatenate([data["level"][:-1], data["level"][:1]])},
-], ids=["last-count", "short-coeffs", "level-index", "width", "negative", "repeated-row"])
+    lambda data: {"coeffs": np.r_[data["coeffs"][:3], data["coeffs"][3] - 1, data["coeffs"][4:]]},
+], ids=["last-count", "short-coeffs", "level-index", "width", "negative", "repeated-row",
+        "interior-count"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, edit):
     gcm = build_catalog("HA2").gcm
     ck = tmp_path / "ha2.npz"
