@@ -4,12 +4,21 @@ All coefficient arithmetic uses Python integers, so results are exact at
 any magnitude.  The fit machinery decides whether a finite Poincare
 polynomial divided by a growth series truncates to a polynomial, which is
 the rational-form question for hyperbolic growth series.
+
+Products and quotients are built one coefficient at a time, each as an
+exact dot product ``sum(map(mul, ...))`` that runs in C and skips zeros
+past each operand's last nonzero coefficient.  A product or quotient
+through ``order`` costs O(order * deg) integer multiplications when one
+operand is a polynomial of degree ``deg`` (for a quotient: the
+denominator, or the quotient itself once it truncates), and O(order**2),
+with the inner sums in C, when both are dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 __all__ = [
     "NonUnitConstantTermError",
@@ -41,6 +50,27 @@ class InsufficientOrderError(ValueError):
     """The growth series is too short for the requested fit margin."""
 
 
+def _degree(cs) -> int:
+    """Index of the last nonzero entry of ``cs``; -1 when every entry is 0."""
+    k = len(cs) - 1
+    while k >= 0 and not cs[k]:
+        k -= 1
+    return k
+
+
+def _convolve(a, b, n: int) -> list[int]:
+    """Coefficients 0..n-1 of the product of coefficient tuples ``a``, ``b``.
+
+    Coefficient k is one dot product over the indices where both operands
+    have entries, so it costs O(min(k, len(a), len(b))) multiplications.
+    """
+    out = []
+    for k in range(min(n, len(a) + len(b) - 1)):
+        lo, hi = max(0, k - len(b) + 1), min(k + 1, len(a))
+        out.append(sum(map(mul, a[lo:hi], reversed(b[k - hi + 1 : k - lo + 1]))))
+    return out + [0] * (n - len(out))
+
+
 @dataclass(frozen=True)
 class IntPolynomial:
     """Dense integer polynomial; ``coeffs[i]`` multiplies t**i.
@@ -52,10 +82,8 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = [int(c) for c in self.coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = tuple(int(c) for c in self.coeffs)
+        object.__setattr__(self, "coeffs", cs[: _degree(cs) + 1])
 
     @property
     def degree(self) -> int:
@@ -82,14 +110,8 @@ class IntPolynomial:
             return IntPolynomial(tuple(c * other for c in self.coeffs))
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return IntPolynomial(tuple(out))
+        a, b = self.coeffs, other.coeffs
+        return IntPolynomial(tuple(_convolve(a, b, len(a) + len(b) - 1)))
 
     __rmul__ = __mul__
 
@@ -175,18 +197,20 @@ def _available_order(x) -> int | None:
 
 
 def series_mul(a, b) -> TruncatedSeries:
-    """Cauchy product truncated to the shorter operand's order."""
+    """Cauchy product truncated to the shorter operand's order.
+
+    Zeros past either operand's last nonzero coefficient are skipped, so a
+    product through ``order`` with a polynomial of degree ``deg`` costs
+    O(order * deg) multiplications and one of two dense series O(order**2),
+    each coefficient summed in C.
+    """
     orders = [o for o in (_available_order(a), _available_order(b)) if o is not None]
     if not orders:
         raise ValueError("series_mul needs at least one truncated operand")
     order = min(orders)
     xa = _series_prefix(a, order, "left factor")
     xb = _series_prefix(b, order, "right factor")
-    out = [0] * (order + 1)
-    for i, x in enumerate(xa):
-        if x:
-            for j in range(order + 1 - i):
-                out[i + j] += x * xb[j]
+    out = _convolve(xa[: _degree(xa) + 1], xb[: _degree(xb) + 1], order + 1)
     return TruncatedSeries(tuple(out))
 
 
@@ -195,6 +219,13 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
 
     The denominator's constant term must be +1 or -1 (true for every
     growth series), which keeps all quotient coefficients integral.
+    Quotient coefficient k is ``num[k]`` minus one dot product, summed in
+    C, of the denominator's coefficients 1..deg against the quotient
+    coefficients before k, skipping zeros past the denominator's degree
+    ``deg`` and past the quotient's last nonzero coefficient so far.  A
+    sparse or low-degree denominator therefore costs O(order * deg); a
+    dense one, such as a growth series, O(order * deg(quotient)) when the
+    quotient truncates and O(order**2) when it does not.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -203,13 +234,15 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
     lead = den[0]
     if lead not in (1, -1):
         raise NonUnitConstantTermError(f"denominator constant term is {lead}, must be +1 or -1")
-    q = []
+    tail = den[1 : _degree(den) + 1]
+    q, top = [], -1  # top: index of the last nonzero quotient coefficient so far
     for k in range(order + 1):
-        acc = num[k]
-        for j in range(1, k + 1):
-            if den[j]:
-                acc -= den[j] * q[k - j]
+        # q[k] = lead * (num[k] - sum of den[k - j] * q[j] over lo <= j <= top)
+        lo = max(0, k - len(tail))
+        acc = num[k] - sum(map(mul, tail[k - top - 1 : k - lo], reversed(q[lo : top + 1])))
         q.append(acc * lead)
+        if acc:
+            top = k
     return TruncatedSeries(tuple(q))
 
 
@@ -257,7 +290,7 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
             f"growth order {order} < degree {finite_poly.degree} + margin {min_margin}"
         )
     q = series_div(finite_poly, growth, order).coeffs
-    last_nonzero = max((k for k, c in enumerate(q) if c), default=-1)
+    last_nonzero = _degree(q)
     margin = order - last_nonzero
     if margin >= min_margin:
         return RatioFitResult(

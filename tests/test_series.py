@@ -1,8 +1,9 @@
 from collections import Counter
 from itertools import permutations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylgrowth import (
     InsufficientOrderError,
@@ -182,6 +183,114 @@ def test_series_div_mul_round_trip(num, tail, unit):
 def test_series_mul_commutes(a, b):
     sa, sb = TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))
     assert series_mul(sa, sb).coeffs == series_mul(sb, sa).coeffs
+
+
+class _Int64Coeffs:
+    """A series-like operand whose coefficients are a fixed-width numpy array."""
+
+    def __init__(self, coeffs):
+        self.coeffs = np.array(coeffs, dtype=np.int64)
+
+
+def test_int64_operands_stay_exact():
+    big = 2**62
+    a = _Int64Coeffs([big, big, 0])
+    assert series_mul(a, IntPolynomial((2,))).coeffs == (2**63, 2**63, 0)
+    assert series_mul(a, a).coeffs == (2**124, 2**125, 2**124)
+    # 2^62 / (1 + 2^62 t) = sum of (-1)^k 2^(62 (k + 1)) t^k
+    q = series_div(_Int64Coeffs([big, 0, 0, 0]), _Int64Coeffs([1, big, 0, 0]), 3)
+    assert q.coeffs == (2**62, -(2**124), 2**186, -(2**248))
+    assert series_mul(q, _Int64Coeffs([1, big, 0, 0])).coeffs == (2**62, 0, 0, 0)
+
+
+# Schoolbook reference, independent of weylgrowth.series: operands are plain
+# lists, implicitly zero past their end.
+
+def _at(cs, i):
+    return cs[i] if i < len(cs) else 0
+
+
+def _reference_mul(a, b, n):
+    return tuple(sum(_at(a, i) * _at(b, k - i) for i in range(k + 1)) for k in range(n))
+
+
+def _reference_div(num, den, n):
+    q = []
+    for k in range(n):
+        acc = _at(num, k) - sum(_at(den, j) * q[k - j] for j in range(1, k + 1))
+        assert acc % den[0] == 0
+        q.append(acc // den[0])
+    return tuple(q)
+
+
+_ENTRY = st.one_of(st.just(0), st.integers(-(10**30), 10**30))
+
+
+def _draw_series(data, min_order):
+    """A TruncatedSeries known to min_order or a little past it, often ending in zeros."""
+    cs = data.draw(st.lists(_ENTRY, min_size=min_order + 1, max_size=min_order + 4))
+    zeros = data.draw(st.integers(0, len(cs)))
+    cs = cs[: len(cs) - zeros] + [0] * zeros
+    return TruncatedSeries(tuple(cs)), cs
+
+
+def _draw_polynomial(data, order):
+    """A polynomial that may be zero, sparse, or of degree above ``order``."""
+    cs = data.draw(st.lists(_ENTRY, max_size=order + 10))
+    return IntPolynomial(tuple(cs)), cs
+
+
+def _draw_denominator(data, order):
+    unit = data.draw(st.sampled_from([1, -1]))
+    shape = data.draw(st.sampled_from(["dense", "one_minus_t_d", "constant"]))
+    if shape == "dense":
+        cs = [unit] + data.draw(st.lists(_ENTRY, max_size=order + 10))
+    elif shape == "one_minus_t_d":
+        cs = [unit] + [0] * (data.draw(st.integers(1, order + 5)) - 1) + [-unit]
+    else:
+        cs = [unit]
+    if data.draw(st.booleans()):
+        return IntPolynomial(tuple(cs)), cs
+    cs = (cs + [0] * (order + 1))[: order + 1 + data.draw(st.integers(0, 3))]
+    return TruncatedSeries(tuple(cs)), cs
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_series_mul_matches_schoolbook(data):
+    order = data.draw(st.integers(0, 40))
+    a, ca = _draw_series(data, order)
+    if data.draw(st.booleans()):
+        b, cb = _draw_polynomial(data, order)
+        n = len(ca)
+    else:
+        b, cb = _draw_series(data, order)
+        n = min(len(ca), len(cb))
+    want = _reference_mul(ca, cb, n)
+    assert series_mul(a, b).coeffs == want
+    assert series_mul(b, a).coeffs == want
+    product = IntPolynomial(tuple(ca)) * IntPolynomial(tuple(cb))
+    assert product == IntPolynomial(_reference_mul(ca, cb, len(ca) + len(cb)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_series_div_matches_schoolbook(data):
+    order = data.draw(st.integers(0, 40))
+    den, cden = _draw_denominator(data, order)
+    shape = data.draw(st.sampled_from(["polynomial", "series", "truncating"]))
+    if shape == "polynomial":
+        num, cnum = _draw_polynomial(data, order)
+    elif shape == "series":
+        num, cnum = _draw_series(data, order)
+    else:
+        # num = den * quotient, then one late coefficient nudged: the quotient
+        # truncates and may start again past a run of zeros.
+        quotient = data.draw(st.lists(_ENTRY, max_size=8))
+        cnum = list(_reference_mul(cden, quotient, order + 1))
+        cnum[data.draw(st.integers(0, order))] += data.draw(st.integers(-3, 3))
+        num = IntPolynomial(tuple(cnum))
+    assert series_div(num, den, order).coeffs == _reference_div(cnum, cden, order + 1)
 
 
 # ---------------------------------------------------------------- ratio fit
