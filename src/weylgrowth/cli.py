@@ -52,6 +52,9 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
+_WORKERS_HELP = "must be >= 1; accepted for compatibility and has no effect"
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -66,7 +69,7 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--gcm-file", help='JSON file {"labels": [...], "matrix": [[...]]}')
     p.add_argument("--order", type=_nonneg_int, required=True, help="growth series order")
     p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
                    help="also build each level by deduplicating all reflections against every earlier level, and check it matches")
 
@@ -102,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_nonneg_int, default=27,
                    help="growth order for the hyperbolic runs (default 27; 12 is a quick CI gate)")
     p.add_argument("--margin", type=_positive_int, default=5)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
 
     for p in sub.choices.values():
         p.add_argument("--output", choices=("text", "json", "csv"), default="text")

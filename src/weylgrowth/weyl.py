@@ -1,4 +1,4 @@
-"""Breadth-first enumeration of Weyl group elements by word length.
+"""Enumeration of Weyl group elements by word length.
 
 Each group element w is named by the coordinate vector gamma = rho - w(rho)
 over the simple roots.  These vectors are pairwise distinct across the
@@ -7,13 +7,15 @@ node nu changes only coordinate nu, by p = 1 - pair[nu], which is never 0:
 the word length goes up by one when p > 0 and down by one when p < 0, so
 the left descents of w are the nodes mu with pair[mu] >= 2.
 
-Level i is built from level i-1 alone by keeping an up-move only when its
-node is the smallest left descent of the child (the canonical parent, as in
-du Cloux's Coxeter programs and Casselman's "Computation in Coxeter groups").  Every element of level i then arises exactly
-once, so nothing is deduplicated and one level is held between steps;
-level sizes are the growth coefficients.  Coordinates are stored as checked
-64-bit integers.  Levels are processed in fixed-size chunks of parents,
-which bounds the temporaries of a step.
+An up-move is kept only when its node is the smallest left descent of the
+child (the canonical parent, as in du Cloux's Coxeter programs and
+Casselman's "Computation in Coxeter groups").  Every element then arises
+exactly once, below its canonical parent, so the group is a rooted tree
+and nothing is deduplicated.  The tree is walked with a stack of chunks of
+rows: depth-first in chunks of bounded size when only the counts are
+wanted, so no level is ever held whole, and breadth-first, one whole level
+per chunk, for level sets and checkpoints.  Level sizes are the growth
+coefficients.  Coordinates are stored as checked 64-bit integers.
 """
 
 from __future__ import annotations
@@ -22,10 +24,7 @@ import hashlib
 import json
 import os
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -49,9 +48,13 @@ CHECKPOINT_VERSION = 3
 # products cannot wrap around; crossing the budget is a hard error.
 _SAFE_BITS = 62
 
-# Parents per unit of work in a level step, and the unit that worker
-# threads share out.
+# Rows per chunk of the depth-first walk.  The walk holds at most one
+# chunk's children per level, so this and the order bound its memory.
 _CHUNK_ROWS = 1 << 14
+
+# Arrays the size of the next level that a breadth-first step holds at once:
+# the children blocks, their concatenation, and the parents with pairings.
+_WORKING_COPIES = 3
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -138,27 +141,51 @@ def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray) -> np.ndarra
     return np.concatenate(blocks)
 
 
-def _chunk_step(A: np.ndarray, build: bool, parents: np.ndarray):
-    pair = parents @ A.T
-    children = _children(A, parents, pair) if build else parents[:0]
-    return children, int(np.count_nonzero(pair <= 0)), int(np.count_nonzero(pair >= 2))
+def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: int | None = None):
+    """Walk the canonical-parent tree below the (level index, rows) chunks on ``stack``.
 
-
-def _next_level(A: np.ndarray, level: np.ndarray, build: bool = True, mapper=map):
-    """(children, up-edges leaving level, left descents in level).
-
-    Chunks of _CHUNK_ROWS parents are mapped with ``mapper`` and joined in
-    chunk order, so the mapper cannot change the result.  With ``build``
-    false only the two totals are computed.
+    Each popped chunk, cut to at most ``chunk_rows`` rows (None: no limit),
+    adds its row count, the up-edges leaving it and its left descents to
+    ``tally[i]``; below ``max_order`` its children are pushed as one chunk
+    of level i+1.  The chunk is yielded once its children are on the stack.
+    Newest first, the walk is depth-first and holds at most one chunk's
+    children per level; with no limit every chunk is a whole level and the
+    walk is breadth-first.
     """
-    if build:
-        _check_coordinate_budget(A, level)
-    chunks = [level[s:s + _CHUNK_ROWS] for s in range(0, len(level), _CHUNK_ROWS)]
-    parts = list(mapper(partial(_chunk_step, A, build), chunks))
-    children = np.concatenate([c for c, _, _ in parts]) if parts else level[:0]
-    if children.size and int(children.min()) < 0:
-        raise RuntimeError("negative coordinate generated: enumeration invariant violated")
-    return children, sum(u for _, u, _ in parts), sum(d for _, _, d in parts)
+    while stack:
+        i, rows = stack.pop()
+        if chunk_rows is not None and len(rows) > chunk_rows:
+            stack.append((i, rows[chunk_rows:]))
+            rows = rows[:chunk_rows]
+        pair = rows @ A.T
+        while len(tally) <= i:
+            tally.append([0, 0, 0])
+        tally[i][0] += len(rows)
+        tally[i][1] += int(np.count_nonzero(pair <= 0))
+        tally[i][2] += int(np.count_nonzero(pair >= 2))
+        if i < max_order:
+            _check_coordinate_budget(A, rows)
+            children = _children(A, rows, pair)
+            if children.size and int(children.min()) < 0:
+                raise RuntimeError("negative coordinate generated: enumeration invariant violated")
+            if len(children):
+                stack.append((i + 1, children))
+        yield i, rows
+
+
+def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
+    """Check levels lo..hi of ``tally``; a level past its end is empty.
+
+    The left descents summed over level i must equal the up-edges leaving
+    level i-1, and |L_i| <= rank * |L_{i-1}|.
+    """
+    for i in range(lo, hi + 1):
+        count, _, descents = tally[i] if i < len(tally) else (0, 0, 0)
+        before, up_edges, _ = tally[i - 1]
+        if descents != up_edges:
+            raise RuntimeError(f"level {i}: {up_edges} up-edges lead in, {descents} left descents")
+        if count > rank * before:
+            raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
 
 
 def _reflect_all(A: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -187,36 +214,40 @@ def _reference_level(A: np.ndarray, prev: np.ndarray, index: int, history: dict)
     return found
 
 
-def _levels(A: np.ndarray, level: np.ndarray, first: int, max_order: int,
-            workers: int = 1, full_history: bool = False):
-    """Yield the nonempty levels first..max_order that follow level first-1.
+def _levels(A: np.ndarray, stack: list, first: int, max_order: int, tally: list,
+            full_history: bool = False):
+    """Walk breadth-first from the level on ``stack`` and yield each level
+    i >= first, whole, once it is checked.
 
-    A level is yielded once the next step has checked that its left
-    descents, summed, equal the up-edges that led into it (the last level
-    gets a counting-only pass).  With ``full_history`` each level must also
-    equal, as a set, its :func:`_reference_level`.
+    With ``full_history`` each next level must also equal, as a set, its
+    :func:`_reference_level`.
+    """
+    history = {tuple(stack[0][1][0].tolist()): first - 1} if full_history else None
+    for i, level in _walk(A, stack, max_order, tally):
+        if history is not None and i < max_order:
+            children = stack[-1][1] if stack else level[:0]
+            expected = _reference_level(A, level, i + 1, history)
+            if len(expected) != len(children) or expected != set(map(tuple, children.tolist())):
+                raise RuntimeError(f"level {i + 1} differs from its full-history reference")
+            history.update(dict.fromkeys(expected, i + 1))
+        if i >= first:
+            _check_levels(tally, i, i, A.shape[0])
+            yield i, level
+
+
+def _memory_budget() -> int:
+    """Bytes a breadth-first step may take: half the physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def _fits(A: np.ndarray, level: np.ndarray) -> bool:
+    """Whether building the level after ``level`` whole fits the budget.
+
+    It has at most rank * |level| rows of rank int64 coordinates, and a
+    step holds about _WORKING_COPIES arrays of that size.
     """
     rank = A.shape[0]
-    history = {tuple(int(x) for x in level[0]): first - 1} if full_history else None
-    up_edges = None  # up-edges into ``level``; unknown for a resumed level
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
-        for i in range(first, max_order + 2):
-            children, up, descents = _next_level(A, level, i <= max_order, mapper)
-            if up_edges is not None and descents != up_edges:
-                raise RuntimeError(f"level {i - 1}: {up_edges} up-edges lead in, {descents} left descents")
-            if i > first and len(level):
-                yield level
-            if i > max_order or len(level) == 0:
-                return
-            if len(children) > rank * len(level):
-                raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
-            if history is not None:
-                expected = _reference_level(A, level, i, history)
-                if len(expected) != len(children) or expected != set(map(tuple, children.tolist())):
-                    raise RuntimeError(f"level {i} differs from its full-history reference")
-                history.update(dict.fromkeys(expected, i))
-            level, up_edges = children, up
+    return rank * len(level) * rank * 8 * _WORKING_COPIES <= _memory_budget()
 
 
 @dataclass(frozen=True)
@@ -320,18 +351,26 @@ def enumerate_levels(
     full_history_dedup: bool = False,
     algebra_name: str = "",
 ) -> GrowthSeries:
-    """Grow level sets up to max_order and count them.
+    """Count the elements of each word length up to max_order.
 
-    The result is a pure function of (gcm, max_order): worker count,
-    checkpointing, and the full-history cross-check never change the
-    coefficients.  If some level comes out empty the group is finite and
-    fully enumerated; the series stops at the last nonempty level and is
-    marked complete.
+    The result is a pure function of (gcm, max_order): checkpointing and the
+    full-history cross-check never change the coefficients.  ``workers`` is
+    validated (>= 1) but has no effect.  If some level comes out empty the
+    group is finite and fully enumerated; the series stops at the last
+    nonempty level and is marked complete.
+
+    Without a checkpoint the canonical-parent tree is walked depth-first in
+    chunks of at most _CHUNK_ROWS rows, so no level is ever held whole.  The
+    edge-count invariant and the growth bound are checked for every level
+    once the walk ends.  ``full_history_dedup`` walks breadth-first instead
+    and rebuilds each level by deduplicating all reflections.
 
     A checkpoint file, when given, is rewritten after every finished level
     and picked up transparently on the next call; a file written for a
     different matrix, or one whose contents do not fit together, raises
-    CheckpointMismatchError.
+    CheckpointMismatchError.  Levels are built whole, checked and saved
+    while the next one fits the memory budget; below the last saved level
+    the rest is counted depth-first, and the checkpoint stays at that level.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -357,13 +396,23 @@ def enumerate_levels(
         level = state.level
         first = state.level_index + 1
 
-    for i, level in enumerate(_levels(A, level, first, max_order, workers, full_history_dedup), first):
-        coeffs.append(len(level))
-        if ckpt is not None:
-            LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
+    tally: list = []
+    stack = [(first - 1, level)]
+    if full_history_dedup or (ckpt is not None and _fits(A, level)):
+        for i, level in _levels(A, stack, first, max_order, tally, full_history_dedup):
+            coeffs.append(len(level))
+            if ckpt is not None:
+                LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
+                if stack and not _fits(A, stack[-1][1]):
+                    break
+    saved = len(coeffs) - 1
+    for _ in _walk(A, stack, max_order, tally, _CHUNK_ROWS):
+        pass
+    _check_levels(tally, first, min(max_order, len(tally)), gcm.rank)
+    coeffs += [count for count, _, _ in tally[len(coeffs):]]
     complete = len(coeffs) <= max_order  # an empty level ended the run early
-    if complete and ckpt is not None:
-        LevelCheckpoint(digest, len(coeffs) - 1, level, tuple(coeffs), True).save(ckpt)
+    if complete and ckpt is not None and saved == len(coeffs) - 1:
+        LevelCheckpoint(digest, saved, level, tuple(coeffs), True).save(ckpt)
     return GrowthSeries(tuple(coeffs), complete, algebra_name)
 
 
@@ -376,15 +425,19 @@ def level_sets(
     """The actual level sets, for inspection and property tests.
 
     Returns one (n, rank) array of lexicographically sorted rows per level,
-    starting with the zero vector at level 0, using the same core as
-    :func:`enumerate_levels`.  Stops early at the first empty level.
+    starting with the zero vector at level 0, from the breadth-first form
+    of the walk behind :func:`enumerate_levels`.  Stops early at the first
+    empty level.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     A = np.asarray(gcm.entries, dtype=np.int64)
     zero = np.zeros((1, gcm.rank), dtype=np.int64)
-    levels = _levels(A, zero, 1, max_order, full_history=full_history_dedup)
-    return [zero] + [level[np.lexsort(level.T[::-1])] for level in levels]
+    tally: list = []
+    walk = _levels(A, [(0, zero)], 1, max_order, tally, full_history_dedup)
+    levels = [zero] + [level[np.lexsort(level.T[::-1])] for _, level in walk]
+    _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
+    return levels
 
 
 def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name: str = "") -> GrowthSeries:

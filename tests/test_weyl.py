@@ -14,6 +14,7 @@ from weylgrowth import (
     gcm_digest,
     level_sets,
     validate_gcm,
+    weyl_group_order,
     weyl_orbit_oracle,
 )
 from weylgrowth.golden import HA3_GROWTH_REFERENCE
@@ -132,7 +133,8 @@ def test_full_history_dedup_matches_windowed():
 
 
 def test_chunked_threads_keep_row_order(monkeypatch, tmp_path):
-    # Small chunks make every level span many chunks shared by the threads.
+    # Neither the chunk size nor the worker count may change the rows of the
+    # breadth-first level a checkpoint stores.
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
     gcm = build_catalog("HA3").gcm
     rows = {}
@@ -141,6 +143,36 @@ def test_chunked_threads_keep_row_order(monkeypatch, tmp_path):
         assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
         rows[workers] = weyl.LevelCheckpoint.load(ck, gcm).level
     assert np.array_equal(rows[1], rows[3])
+
+
+def test_e7_whole_group():
+    desc = build_catalog("E7")
+    series = enumerate_levels(desc.gcm, 100)
+    assert series.complete and series.total == weyl_group_order(desc) == 2903040
+
+
+@pytest.mark.parametrize("name", ["HA3", "HA2"])
+def test_small_chunks_count_like_whole_levels(monkeypatch, name):
+    # Chunks of 7 rows make the depth-first walk split every level past
+    # the first few across many chunks and subtrees.
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    gcm = build_catalog(name).gcm
+    assert enumerate_levels(gcm, 12).coeffs == tuple(len(lvl) for lvl in level_sets(gcm, 12))
+
+
+def test_checkpoint_stops_at_the_memory_budget(monkeypatch, tmp_path):
+    # An HA2 step is estimated at 4 * 4 * 8 * 3 = 384 bytes per parent row,
+    # so only levels of up to 104 rows may have their next level built
+    # whole: the walk saves level 6 (89 rows), builds level 7 (136 rows)
+    # whole and counts the rest below it depth-first.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 40_000)
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.npz"
+    assert enumerate_levels(gcm, 12, ck).coeffs == HA2_GROWTH_PREFIX[:13]
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.level_index == 6 and not state.complete
+    assert state.coeffs == HA2_GROWTH_PREFIX[:7]
+    assert enumerate_levels(gcm, 14, ck).coeffs == HA2_GROWTH_PREFIX
 
 
 @pytest.mark.parametrize("order", [1, 6])
