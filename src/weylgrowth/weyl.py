@@ -53,8 +53,9 @@ _SAFE_BITS = 62
 _CHUNK_ROWS = 1 << 14
 
 # Arrays the size of the next level that a breadth-first step holds at once:
-# the children blocks, their concatenation, and the parents with pairings.
-_WORKING_COPIES = 3
+# the children, and less than as much again for the parents, their
+# pairings, the level before them and the index arrays of the step.
+_WORKING_COPIES = 2
 
 
 class CheckpointMismatchError(RuntimeError):
@@ -124,21 +125,27 @@ def _check_coordinate_budget(A: np.ndarray, level: np.ndarray) -> None:
 def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray) -> np.ndarray:
     """The children whose canonical parent is one of ``parents``.
 
-    ``pair`` is ``parents @ A.T``.  An up-move at node nu, where
-    p = 1 - pair[nu] is positive, gives the child gamma + p e_nu with pairing
-    pair + p A[:, nu]; it is kept when no mu < nu is a left descent of it.
+    ``pair`` is ``A @ parents.T``, so pair[mu] holds the pairings of every
+    parent with row mu of A.  An up-move at node nu, where p = 1 - pair[nu]
+    is positive, gives the child gamma + p e_nu with pairing pair + p A[:, nu];
+    it is kept when no mu < nu is a left descent of it.  Children come
+    grouped by nu, each group in parent order.
     """
-    blocks = []
+    picks = []
     for nu in range(A.shape[0]):
-        idx = np.flatnonzero(pair[:, nu] <= 0)
-        p = 1 - pair[idx, nu]
-        if nu:
-            keep = (pair[idx, :nu] + p[:, None] * A[:nu, nu] < 2).all(axis=1)
-            idx, p = idx[keep], p[keep]
-        rows = parents[idx]
-        rows[:, nu] += p
-        blocks.append(rows)
-    return np.concatenate(blocks)
+        p = 1 - pair[nu]
+        keep = p > 0
+        for mu in range(nu):
+            keep &= pair[mu] + p * A[mu, nu] < 2
+        picks.append(np.flatnonzero(keep))
+    children = np.empty((sum(map(len, picks)), A.shape[0]), dtype=parents.dtype)
+    start = 0
+    for nu, idx in enumerate(picks):
+        block = children[start:start + len(idx)]
+        np.take(parents, idx, axis=0, out=block)
+        block[:, nu] += 1 - pair[nu, idx]
+        start += len(idx)
+    return children
 
 
 def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: int | None = None):
@@ -157,7 +164,7 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
         if chunk_rows is not None and len(rows) > chunk_rows:
             stack.append((i, rows[chunk_rows:]))
             rows = rows[:chunk_rows]
-        pair = rows @ A.T
+        pair = A @ rows.T
         while len(tally) <= i:
             tally.append([0, 0, 0])
         tally[i][0] += len(rows)

@@ -161,11 +161,10 @@ def test_small_chunks_count_like_whole_levels(monkeypatch, name):
 
 
 def test_checkpoint_stops_at_the_memory_budget(monkeypatch, tmp_path):
-    # An HA2 step is estimated at 4 * 4 * 8 * 3 = 384 bytes per parent row,
-    # so only levels of up to 104 rows may have their next level built
-    # whole: the walk saves level 6 (89 rows), builds level 7 (136 rows)
-    # whole and counts the rest below it depth-first.
-    monkeypatch.setattr(weyl, "_memory_budget", lambda: 40_000)
+    # A budget for an HA2 step from a level of at most 100 rows: the walk
+    # saves level 6 (89 rows), builds level 7 (136 rows) whole and counts
+    # the rest below it depth-first.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 4 * 100 * 4 * 8 * weyl._WORKING_COPIES)
     gcm = build_catalog("HA2").gcm
     ck = tmp_path / "ha2.npz"
     assert enumerate_levels(gcm, 12, ck).coeffs == HA2_GROWTH_PREFIX[:13]
