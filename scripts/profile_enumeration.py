@@ -36,6 +36,7 @@ def profile(name: str, order: int) -> None:
         t0 = time.perf_counter()
     print(f"total elements {total}, wall time {time.perf_counter() - start:.2f}s")
 
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--algebra", default="HA3")
