@@ -151,6 +151,21 @@ def test_e7_whole_group():
     assert series.complete and series.total == weyl_group_order(desc) == 2903040
 
 
+def test_children_fill_out_when_it_is_long_enough():
+    gcm = build_catalog("HA3").gcm
+    A = np.asarray(gcm.entries, dtype=np.int64)
+    parents = level_sets(gcm, 4)[4]
+    pair = A @ parents.T
+    fresh = weyl._children(A, parents, pair)
+    out = np.full((gcm.rank * len(parents), gcm.rank), -1, dtype=np.int64)
+    into = weyl._children(A, parents, pair, out)
+    assert into.base is out and np.array_equal(into, fresh)
+    assert (out[len(fresh):] == -1).all()
+    short = out[:len(fresh) - 1]
+    elsewhere = weyl._children(A, parents, pair, short)
+    assert elsewhere.base is not out and np.array_equal(elsewhere, fresh)
+
+
 @pytest.mark.parametrize("name", ["HA3", "HA2"])
 def test_small_chunks_count_like_whole_levels(monkeypatch, name):
     # Chunks of 7 rows make the depth-first walk split every level past
