@@ -45,6 +45,7 @@ from .weyl import (
     CheckpointMismatchError,
     GrowthSeries,
     LevelCheckpoint,
+    LevelTooLargeError,
     enumerate_levels,
     gamma_reflect,
     gcm_digest,
@@ -63,6 +64,7 @@ __all__ = [
     "InsufficientOrderError",
     "IntPolynomial",
     "LevelCheckpoint",
+    "LevelTooLargeError",
     "NonUnitConstantTermError",
     "NotFiniteError",
     "RankOutOfRangeError",

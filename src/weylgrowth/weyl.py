@@ -35,6 +35,7 @@ __all__ = [
     "CheckpointMismatchError",
     "GrowthSeries",
     "LevelCheckpoint",
+    "LevelTooLargeError",
     "gamma_reflect",
     "enumerate_levels",
     "level_sets",
@@ -60,6 +61,20 @@ _WORKING_COPIES = 2
 
 class CheckpointMismatchError(RuntimeError):
     """A checkpoint file does not belong to this run or is inconsistent."""
+
+
+class LevelTooLargeError(MemoryError):
+    """A whole level set would not fit the memory budget of a breadth-first step.
+
+    ``level`` is the word length of the level that was about to be built
+    and ``bytes_needed`` the bytes that step would hold.
+    """
+
+    def __init__(self, level: int, bytes_needed: int, budget: int):
+        super().__init__(f"level {level} needs about {bytes_needed} bytes to build, "
+                         f"more than the budget of {budget} bytes")
+        self.level = level
+        self.bytes_needed = bytes_needed
 
 
 @dataclass(frozen=True)
@@ -112,14 +127,42 @@ def gamma_reflect(gcm: GeneralizedCartanMatrix, gamma, mu: int) -> tuple[int, ..
 
 
 def _check_coordinate_budget(A: np.ndarray, level: np.ndarray) -> None:
-    # With c = max|A| * rank, a child's coordinates are at most (c + 2) times
-    # the current maximum, and the pairings formed while building it at most
-    # c * (c + 3) times.
+    # With c = max|A| * rank and M the largest coordinate of ``level``, a
+    # child's coordinates are at most (c + 2) M, and every value formed while
+    # building it or its pairings stays within c * (c + 3) M: a pairing is a
+    # sum of at most rank terms A[mu, nu] * gamma[nu], so each partial sum
+    # that _pairings accumulates column by column is bounded by c times the
+    # largest coordinate, that of a child by c * (c + 2) M; the descent test
+    # in _children subtracts A[mu, nu] * pair[nu] from pair[mu], at most
+    # (c + 1) * c M in all.
     if level.size == 0:
         return
     c = int(np.abs(A).max()) * A.shape[0]
     if int(level.max()) > (1 << _SAFE_BITS) // (c * (c + 3)):
         raise OverflowError("coordinates exceed the checked 64-bit budget")
+
+
+def _pairings(A: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+    """``A @ rows.T``, written into ``out`` when given.
+
+    numpy multiplies int64 matrices without BLAS, element by element; one
+    whole-column multiply or subtract per nonzero entry of A is faster, and
+    a Cartan matrix has few of them.  Exact by the bound in
+    :func:`_check_coordinate_budget`.
+    """
+    if out is None:
+        out = np.empty((A.shape[0], len(rows)), dtype=np.int64)
+    for mu in range(A.shape[0]):
+        acc = out[mu]
+        np.multiply(rows[:, mu], A[mu, mu], out=acc)
+        for nu in np.flatnonzero(A[mu]):
+            if nu == mu:
+                continue
+            if A[mu, nu] == -1:
+                acc -= rows[:, nu]
+            else:
+                acc += A[mu, nu] * rows[:, nu]
+    return out
 
 
 def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) -> np.ndarray:
@@ -128,20 +171,29 @@ def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) ->
     ``pair`` is ``A @ parents.T``, so pair[mu] holds the pairings of every
     parent with row mu of A.  An up-move at node nu, where p = 1 - pair[nu]
     is positive, gives the child gamma + p e_nu with pairing pair + p A[:, nu];
-    it is kept when no mu < nu is a left descent of it.  Children come
-    grouped by nu, the last node's group first, each group in parent order.
+    it is kept when no mu < nu is a left descent of it, that is when
+    pair[mu] + p A[mu, nu] < 2, or pair[mu] - A[mu, nu] pair[nu] < 2 - A[mu, nu].
+    Where A[mu, nu] is 0 that is pair[mu] < 2, one mask shared by every nu,
+    as is the up-move mask pair <= 0.  Children come grouped by nu, the last
+    node's group first, each group in parent order.
     A walk that cuts its chunks off the end thus visits the children of
     node 0 first; they have the fewest descendants, so fewer rows wait on
     its stack (on E8 to order 40 at most 54 thousand, against 575 thousand
     in ascending order).  The children fill the leading rows of ``out``
     when it has that many rows and a new array otherwise.
+
+    The gathers use ``mode="clip"``, which numpy does not buffer as it does
+    the default ``mode="raise"``; the indices come from ``np.flatnonzero``
+    over masks as long as ``parents``, so clipping never moves one.
     """
+    up = pair <= 0
+    below_two = pair < 2
     picks = []
     for nu in range(A.shape[0]):
-        p = 1 - pair[nu]
-        keep = p > 0
+        keep = up[nu].copy()
         for mu in range(nu):
-            keep &= pair[mu] + p * A[mu, nu] < 2
+            a = A[mu, nu]
+            keep &= below_two[mu] if a == 0 else pair[mu] - a * pair[nu] < 2 - a
         picks.append(np.flatnonzero(keep))
     size = sum(map(len, picks))
     if out is None or len(out) < size:
@@ -151,8 +203,8 @@ def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) ->
     for nu in reversed(range(A.shape[0])):
         idx = picks[nu]
         block = children[start:start + len(idx)]
-        np.take(parents, idx, axis=0, out=block)
-        block[:, nu] += 1 - pair[nu, idx]
+        np.take(parents, idx, axis=0, out=block, mode="clip")
+        block[:, nu] += 1 - np.take(pair[nu], idx, mode="clip")
         start += len(idx)
     return children
 
@@ -190,7 +242,7 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
     while stack:
         i, rows = stack.pop()
         if chunk_rows is None:
-            pair = A @ rows.T
+            pair = _pairings(A, rows)
         else:
             if len(rows) > chunk_rows:
                 stack.append((i, rows[:-chunk_rows]))
@@ -199,7 +251,7 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
                 used -= len(rows)
             np.copyto(parents[:len(rows)], rows)
             rows = parents[:len(rows)]
-            pair = np.matmul(A, rows.T, out=pairings[:, :len(rows)])
+            pair = _pairings(A, rows, pairings[:, :len(rows)])
         while len(tally) <= i:
             tally.append([0, 0, 0])
         tally[i][0] += len(rows)
@@ -287,14 +339,19 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _fits(A: np.ndarray, level: np.ndarray) -> bool:
-    """Whether building the level after ``level`` whole fits the budget.
+def _step_bytes(A: np.ndarray, level: np.ndarray) -> int:
+    """Bytes held while building the level after ``level`` whole.
 
     It has at most rank * |level| rows of rank int64 coordinates, and a
     step holds about _WORKING_COPIES arrays of that size.
     """
     rank = A.shape[0]
-    return rank * len(level) * rank * 8 * _WORKING_COPIES <= _memory_budget()
+    return rank * len(level) * rank * 8 * _WORKING_COPIES
+
+
+def _fits(A: np.ndarray, level: np.ndarray) -> bool:
+    """Whether building the level after ``level`` whole fits the budget."""
+    return _step_bytes(A, level) <= _memory_budget()
 
 
 @dataclass(frozen=True)
@@ -475,14 +532,25 @@ def level_sets(
     starting with the zero vector at level 0, from the breadth-first form
     of the walk behind :func:`enumerate_levels`.  Stops early at the first
     empty level.
+
+    Every level is held whole.  Before a level is built from the one before
+    it, the step must fit the memory budget (half the physical memory);
+    otherwise :class:`LevelTooLargeError`, a ``MemoryError``, names the level
+    and the bytes the step would need.  :func:`enumerate_levels` counts
+    past that point.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
     A = np.asarray(gcm.entries, dtype=np.int64)
     zero = np.zeros((1, gcm.rank), dtype=np.int64)
     tally: list = []
-    walk = _levels(A, [(0, zero)], 1, max_order, tally, full_history_dedup)
-    levels = [zero] + [level[np.lexsort(level.T[::-1])] for _, level in walk]
+    stack = [(0, zero)]
+    levels = [zero]
+    for i, level in _levels(A, stack, 1, max_order, tally, full_history_dedup):
+        levels.append(level[np.lexsort(level.T[::-1])])
+        # Level i + 1 waits on the stack; the next step builds level i + 2.
+        if stack and i + 1 < max_order and not _fits(A, stack[-1][1]):
+            raise LevelTooLargeError(i + 2, _step_bytes(A, stack[-1][1]), _memory_budget())
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     return levels
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from weylgrowth import weyl
 from weylgrowth import (
     CheckpointMismatchError,
+    LevelTooLargeError,
     build_catalog,
     enumerate_levels,
     gamma_reflect,
@@ -166,6 +167,56 @@ def test_children_fill_out_when_it_is_long_enough():
     assert elsewhere.base is not out and np.array_equal(elsewhere, fresh)
 
 
+@st.composite
+def gcm_and_rows(draw):
+    # Off-diagonal entries down to -4, drawn for each side of a bond apart,
+    # and coordinates up to the largest one _check_coordinate_budget admits.
+    n = draw(st.integers(2, 5))
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    bonds = st.sampled_from((-1, -2, -3, -4))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                m[i][j], m[j][i] = draw(bonds), draw(bonds)
+    A = np.asarray(m, dtype=np.int64)
+    c = int(np.abs(A).max()) * n
+    limit = (1 << weyl._SAFE_BITS) // (c * (c + 3))
+    coord = st.one_of(st.integers(0, 4), st.just(limit), st.integers(0, limit))
+    rows = draw(st.lists(st.lists(coord, min_size=n, max_size=n), min_size=1, max_size=12))
+    return A, np.asarray(rows, dtype=np.int64)
+
+
+def _children_by_rule(A, rows):
+    """The canonical-parent rule on Python ints: up-moves at nu that leave
+    no left descent below nu, grouped by nu, the last node's group first."""
+    A, rows = A.tolist(), rows.tolist()
+    rank = len(A)
+    pairs = [[sum(a * g for a, g in zip(A[mu], row)) for mu in range(rank)] for row in rows]
+    children = []
+    for nu in reversed(range(rank)):
+        for row, pair in zip(rows, pairs):
+            p = 1 - pair[nu]
+            if p > 0 and all(pair[mu] + p * A[mu][nu] < 2 for mu in range(nu)):
+                children.append(row[:nu] + [row[nu] + p] + row[nu + 1:])
+    return children
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcm_and_rows())
+def test_pairings_and_children_match_python_ints(args):
+    A, rows = args
+    weyl._check_coordinate_budget(A, rows)  # the rows are inside the budget
+    exact = (A.astype(object) @ rows.T.astype(object)).tolist()
+    pair = weyl._pairings(A, rows)
+    assert pair.tolist() == exact
+    out = np.full(pair.shape, -7, dtype=np.int64)
+    assert weyl._pairings(A, rows, out) is out and out.tolist() == exact
+    expected = _children_by_rule(A, rows)
+    assert weyl._children(A, rows, pair).tolist() == expected
+    spill = np.full((A.shape[0] * len(rows), A.shape[0]), -1, dtype=np.int64)
+    assert weyl._children(A, rows, pair, spill).tolist() == expected
+
+
 @pytest.mark.parametrize("name", ["HA3", "HA2"])
 def test_small_chunks_count_like_whole_levels(monkeypatch, name):
     # Chunks of 7 rows make the depth-first walk split every level past
@@ -260,6 +311,18 @@ def test_level_sets_match_counts():
     gcm = build_catalog("HA3").gcm
     levels = level_sets(gcm, 8)
     assert tuple(len(lvl) for lvl in levels) == HA3_GROWTH_REFERENCE[:9]
+
+
+def test_level_sets_refuse_a_level_over_the_memory_budget(monkeypatch):
+    # A budget for an HA2 step from a level of at most 100 rows: level 7
+    # (136 rows) is built from level 6 (89 rows), level 8 is not.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 4 * 100 * 4 * 8 * weyl._WORKING_COPIES)
+    gcm = build_catalog("HA2").gcm
+    assert tuple(map(len, level_sets(gcm, 7))) == HA2_GROWTH_PREFIX[:8]
+    with pytest.raises(LevelTooLargeError, match="level 8 needs about 34816 bytes") as info:
+        level_sets(gcm, 12)
+    assert isinstance(info.value, MemoryError)
+    assert info.value.level == 8 and info.value.bytes_needed == 4 * 136 * 4 * 8 * 2
 
 
 # ------------------------------------------------------------------- oracle
