@@ -171,11 +171,12 @@ def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) ->
     ``pair`` is ``A @ parents.T``, so pair[mu] holds the pairings of every
     parent with row mu of A.  An up-move at node nu, where p = 1 - pair[nu]
     is positive, gives the child gamma + p e_nu with pairing pair + p A[:, nu];
-    it is kept when no mu < nu is a left descent of it, that is when
-    pair[mu] + p A[mu, nu] < 2, or pair[mu] - A[mu, nu] pair[nu] < 2 - A[mu, nu].
-    Where A[mu, nu] is 0 that is pair[mu] < 2, one mask shared by every nu,
-    as is the up-move mask pair <= 0.  Children come grouped by nu, the last
-    node's group first, each group in parent order.
+    it is kept when no mu < nu is a left descent of it, that is when every
+    mu < nu has pair[mu] + p A[mu, nu] < 2, or in the same integers
+    pair[mu] - A[mu, nu] pair[nu] < 2 - A[mu, nu].  Where A[mu, nu] is 0
+    that is pair[mu] < 2, one mask shared by every nu, as is the up-move
+    mask pair <= 0.  Children come grouped by nu, the last node's group
+    first, each group in parent order.
     A walk that cuts its chunks off the end thus visits the children of
     node 0 first; they have the fewest descendants, so fewer rows wait on
     its stack (on E8 to order 40 at most 54 thousand, against 575 thousand
