@@ -126,57 +126,113 @@ def gamma_reflect(gcm: GeneralizedCartanMatrix, gamma, mu: int) -> tuple[int, ..
     return coords[:mu] + (coords[mu] + 1 - pairing,) + coords[mu + 1:]
 
 
-def _check_coordinate_budget(A: np.ndarray, level: np.ndarray) -> None:
-    # With c = max|A| * rank and M the largest coordinate of ``level``, a
-    # child's coordinates are at most (c + 2) M, and every value formed while
-    # building it or its pairings stays within c * (c + 3) M: a pairing is a
-    # sum of at most rank terms A[mu, nu] * gamma[nu], so each partial sum
-    # that _pairings accumulates column by column is bounded by c times the
-    # largest coordinate, that of a child by c * (c + 2) M; the descent test
-    # in _children subtracts A[mu, nu] * pair[nu] from pair[mu], at most
-    # (c + 1) * c M in all.
-    if level.size == 0:
-        return
-    c = int(np.abs(A).max()) * A.shape[0]
-    if int(level.max()) > (1 << _SAFE_BITS) // (c * (c + 3)):
+class _Cartan:
+    """A Cartan matrix's entries as Python ints, read once per walk.
+
+    Indexing an array and computing with numpy scalars costs far more than
+    the same work on Python ints, and the depth-first walk would pay it for
+    every entry in every chunk.  The functions below take ``A`` as the
+    int64 array or in this form (:func:`_cartan`); the walk passes this form.
+    """
+
+    def __init__(self, A: np.ndarray):
+        entries = A.tolist()
+        rank = len(entries)
+        self.rank = rank
+        self.diagonal = [entries[mu][mu] for mu in range(rank)]
+        # (nu, A[mu, nu]) for the nonzero off-diagonal entries of row mu.
+        self.bonds = [[(nu, a) for nu, a in enumerate(row) if a and nu != mu]
+                      for mu, row in enumerate(entries)]
+        # (mu, A[mu, nu]) for the entries of column nu above the diagonal,
+        # and for those below it.
+        self.above = [[(mu, entries[mu][nu]) for mu in range(nu)] for nu in range(rank)]
+        self.below = [[(mu, entries[mu][nu]) for mu in range(nu + 1, rank)] for nu in range(rank)]
+        # With c = max|A| * rank and M the largest coordinate of a level, a
+        # child's coordinates are at most (c + 2) M, and every value formed
+        # while building it or its pairings stays within c * (c + 3) M: a
+        # pairing is a sum of at most rank terms A[mu, nu] * gamma[nu], so
+        # each partial sum that _pairings accumulates column by column is
+        # bounded by c times the largest coordinate, that of a child by
+        # c * (c + 2) M; the descent test in _kept and _leaf_counts subtracts
+        # A[mu, nu] * pair[nu] from pair[mu], at most (c + 1) * c M in all.
+        c = max(abs(a) for row in entries for a in row) * rank
+        self.limit = (1 << _SAFE_BITS) // (c * (c + 3))
+
+
+def _cartan(A) -> _Cartan:
+    return A if isinstance(A, _Cartan) else _Cartan(A)
+
+
+def _check_coordinate_budget(A, level: np.ndarray) -> None:
+    """Raise OverflowError when a coordinate of ``level`` is past the limit
+    of :class:`_Cartan`, so that its children and pairings cannot wrap."""
+    if level.size and int(level.max()) > _cartan(A).limit:
         raise OverflowError("coordinates exceed the checked 64-bit budget")
 
 
-def _pairings(A: np.ndarray, rows: np.ndarray, out=None) -> np.ndarray:
+def _pairings(A, rows: np.ndarray, out=None) -> np.ndarray:
     """``A @ rows.T``, written into ``out`` when given.
 
     numpy multiplies int64 matrices without BLAS, element by element; one
     whole-column multiply or subtract per nonzero entry of A is faster, and
-    a Cartan matrix has few of them.  Exact by the bound in
-    :func:`_check_coordinate_budget`.
+    a Cartan matrix has few of them.  Entries other than -1 are multiplied
+    into one scratch row, allocated once per call.  Exact by the bound in
+    :class:`_Cartan`.
     """
+    C = _cartan(A)
     if out is None:
-        out = np.empty((A.shape[0], len(rows)), dtype=np.int64)
-    for mu in range(A.shape[0]):
+        out = np.empty((C.rank, len(rows)), dtype=np.int64)
+    scratch = None
+    for mu, bonds in enumerate(C.bonds):
         acc = out[mu]
-        np.multiply(rows[:, mu], A[mu, mu], out=acc)
-        for nu in np.flatnonzero(A[mu]):
-            if nu == mu:
-                continue
-            if A[mu, nu] == -1:
+        np.multiply(rows[:, mu], C.diagonal[mu], out=acc)
+        for nu, a in bonds:
+            if a == -1:
                 acc -= rows[:, nu]
             else:
-                acc += A[mu, nu] * rows[:, nu]
+                if scratch is None:
+                    scratch = np.empty(len(rows), dtype=np.int64)
+                np.multiply(rows[:, nu], a, out=scratch)
+                acc += scratch
     return out
 
 
-def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) -> np.ndarray:
+def _masks(pair: np.ndarray) -> tuple:
+    """The up-move mask ``pair <= 0`` and the mask ``pair < 2`` of non-descents."""
+    return pair <= 0, pair < 2
+
+
+def _moved(pair: np.ndarray, mu: int, nu: int, a: int) -> np.ndarray:
+    """pair[mu] - a pair[nu]: a child's pairing at mu less a, for a move at
+    nu and a = A[mu, nu] (see :func:`_kept`); -1 entries need no multiply."""
+    return pair[mu] + pair[nu] if a == -1 else pair[mu] - a * pair[nu]
+
+
+def _kept(C: _Cartan, pair: np.ndarray, masks: tuple, nu: int) -> np.ndarray:
+    """Which parents keep their up-move at node nu.
+
+    An up-move at nu, where p = 1 - pair[nu] is positive, gives the child
+    gamma + p e_nu with pairing pair + p A[:, nu]; it is kept when no
+    mu < nu is a left descent of it, that is when every mu < nu has
+    pair[mu] + p A[mu, nu] < 2, or in the same integers
+    pair[mu] - A[mu, nu] pair[nu] < 2 - A[mu, nu].  Where A[mu, nu] is 0
+    that is pair[mu] < 2, one mask shared by every nu.
+    """
+    up, below_two = masks
+    keep = up[nu].copy()
+    for mu, a in C.above[nu]:
+        keep &= below_two[mu] if a == 0 else _moved(pair, mu, nu, a) < 2 - a
+    return keep
+
+
+def _children(A, parents: np.ndarray, pair: np.ndarray, out=None, *, masks=None) -> np.ndarray:
     """The children whose canonical parent is one of ``parents``.
 
     ``pair`` is ``A @ parents.T``, so pair[mu] holds the pairings of every
-    parent with row mu of A.  An up-move at node nu, where p = 1 - pair[nu]
-    is positive, gives the child gamma + p e_nu with pairing pair + p A[:, nu];
-    it is kept when no mu < nu is a left descent of it, that is when every
-    mu < nu has pair[mu] + p A[mu, nu] < 2, or in the same integers
-    pair[mu] - A[mu, nu] pair[nu] < 2 - A[mu, nu].  Where A[mu, nu] is 0
-    that is pair[mu] < 2, one mask shared by every nu, as is the up-move
-    mask pair <= 0.  Children come grouped by nu, the last node's group
-    first, each group in parent order.
+    parent with row mu of A, and ``masks`` is ``_masks(pair)`` when the
+    caller has it.  Each parent's kept up-moves are those of :func:`_kept`.
+    Children come grouped by nu, the last node's group first, each group in
+    parent order.
     A walk that cuts its chunks off the end thus visits the children of
     node 0 first; they have the fewest descendants, so fewer rows wait on
     its stack (on E8 to order 40 at most 54 thousand, against 575 thousand
@@ -187,27 +243,50 @@ def _children(A: np.ndarray, parents: np.ndarray, pair: np.ndarray, out=None) ->
     the default ``mode="raise"``; the indices come from ``np.flatnonzero``
     over masks as long as ``parents``, so clipping never moves one.
     """
-    up = pair <= 0
-    below_two = pair < 2
-    picks = []
-    for nu in range(A.shape[0]):
-        keep = up[nu].copy()
-        for mu in range(nu):
-            a = A[mu, nu]
-            keep &= below_two[mu] if a == 0 else pair[mu] - a * pair[nu] < 2 - a
-        picks.append(np.flatnonzero(keep))
+    C = _cartan(A)
+    masks = _masks(pair) if masks is None else masks
+    picks = [np.flatnonzero(_kept(C, pair, masks, nu)) for nu in range(C.rank)]
     size = sum(map(len, picks))
     if out is None or len(out) < size:
-        out = np.empty((size, A.shape[0]), dtype=parents.dtype)
+        out = np.empty((size, C.rank), dtype=parents.dtype)
     children = out[:size]
     start = 0
-    for nu in reversed(range(A.shape[0])):
+    for nu in reversed(range(C.rank)):
         idx = picks[nu]
         block = children[start:start + len(idx)]
         np.take(parents, idx, axis=0, out=block, mode="clip")
         block[:, nu] += 1 - np.take(pair[nu], idx, mode="clip")
         start += len(idx)
     return children
+
+
+def _leaf_counts(A, pair: np.ndarray, *, masks=None) -> tuple[int, int]:
+    """How many children :func:`_children` would give, and their left
+    descents summed, without building them.
+
+    A child kept at node nu has no left descent below nu (:func:`_kept`),
+    has nu itself (its pairing there is pair[nu] + 2p = 2 - pair[nu] >= 2),
+    and has mu > nu when pair[mu] + p A[mu, nu] >= 2, that is
+    pair[mu] - A[mu, nu] pair[nu] >= 2 - A[mu, nu], or pair[mu] >= 2 where
+    A[mu, nu] is 0.  These are the children's exact integer pairings.
+    """
+    C = _cartan(A)
+    masks = _masks(pair) if masks is None else masks
+    below_two = masks[1]
+    count = descents = 0
+    for nu in range(C.rank):
+        keep = _kept(C, pair, masks, nu)
+        kept = int(np.count_nonzero(keep))
+        if not kept:
+            continue
+        count += kept
+        descents += kept
+        for mu, a in C.below[nu]:
+            if a == 0:
+                descents += kept - int(np.count_nonzero(keep & below_two[mu]))
+            else:
+                descents += int(np.count_nonzero(keep & (_moved(pair, mu, nu, a) >= 2 - a)))
+    return count, descents
 
 
 def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: int | None = None):
@@ -221,29 +300,38 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
     children per level; with no limit every chunk is a whole level and the
     walk is breadth-first.
 
-    Cut to ``chunk_rows``, the walk reuses its arrays from chunk to chunk.
-    Its chunks nest: children are pushed after, and popped before, every
-    chunk already on the stack.  So they are written into one array used as
-    a stack (``spill``), right above the rows still waiting there, and into
-    a new array only when it is full.  A popped chunk is copied into
-    ``parents`` and its pairings go into ``pairings``; the rows it yields
-    are those of ``parents``, valid until the walk resumes.  Fresh megabyte
-    arrays per chunk would have the allocator hand memory back to the
-    system and fault it in again chunk after chunk, a cost that swings with
-    host load.
+    Cut to ``chunk_rows``, the walk does not build level ``max_order``: a
+    chunk of level max_order - 1 adds its children's count and left
+    descents to ``tally[max_order]`` from the masks that select them
+    (:func:`_leaf_counts`), and their up-edges, which nothing checks, are
+    not counted.  The children need no check of their own: each is a
+    checked parent plus p = 1 - pair[nu] >= 1 at one coordinate, so it is
+    nonnegative, and the coordinate budget covers the parent chunk whose
+    pairings the counts come from.
+
+    Cut to ``chunk_rows``, the walk also reuses its arrays from chunk to
+    chunk.  Its chunks nest: children are pushed after, and popped before,
+    every chunk already on the stack.  So they are written into one array
+    used as a stack (``spill``), right above the rows still waiting there,
+    and into a new array only when it is full.  A popped chunk is copied
+    into ``parents`` and its pairings go into ``pairings``; the rows it
+    yields are those of ``parents``, valid until the walk resumes.  Fresh
+    megabyte arrays per chunk would have the allocator hand memory back to
+    the system and fault it in again chunk after chunk, a cost that swings
+    with host load.
     """
+    C = _cartan(A)
     if chunk_rows is not None:
-        rank = A.shape[0]
-        parents = np.empty((chunk_rows, rank), dtype=np.int64)
-        pairings = np.empty((rank, chunk_rows), dtype=np.int64)
+        parents = np.empty((chunk_rows, C.rank), dtype=np.int64)
+        pairings = np.empty((C.rank, chunk_rows), dtype=np.int64)
         # Pages are touched only as rows are used; E8 to order 40 keeps at
         # most a fifth of these rows waiting.
-        spill = np.empty((2 * rank * chunk_rows, rank), dtype=np.int64)
+        spill = np.empty((2 * C.rank * chunk_rows, C.rank), dtype=np.int64)
         used = 0  # leading rows of spill held by chunks on the stack
     while stack:
         i, rows = stack.pop()
         if chunk_rows is None:
-            pair = _pairings(A, rows)
+            pair = _pairings(C, rows)
         else:
             if len(rows) > chunk_rows:
                 stack.append((i, rows[:-chunk_rows]))
@@ -252,24 +340,33 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
                 used -= len(rows)
             np.copyto(parents[:len(rows)], rows)
             rows = parents[:len(rows)]
-            pair = _pairings(A, rows, pairings[:, :len(rows)])
+            pair = _pairings(C, rows, pairings[:, :len(rows)])
+        masks = _masks(pair)
         while len(tally) <= i:
             tally.append([0, 0, 0])
         tally[i][0] += len(rows)
-        tally[i][1] += int(np.count_nonzero(pair <= 0))
-        tally[i][2] += int(np.count_nonzero(pair >= 2))
+        tally[i][1] += int(np.count_nonzero(masks[0]))
+        tally[i][2] += pair.size - int(np.count_nonzero(masks[1]))
         if i < max_order:
-            _check_coordinate_budget(A, rows)
-            if chunk_rows is None:
-                children = _children(A, rows, pair)
+            _check_coordinate_budget(C, rows)
+            if chunk_rows is not None and i + 1 == max_order:
+                count, descents = _leaf_counts(C, pair, masks=masks)
+                if count:
+                    if len(tally) == max_order:
+                        tally.append([0, 0, 0])
+                    tally[max_order][0] += count
+                    tally[max_order][2] += descents
             else:
-                children = _children(A, rows, pair, spill[used:])
-                if children.base is spill:
-                    used += len(children)
-            if children.size and int(children.min()) < 0:
-                raise RuntimeError("negative coordinate generated: enumeration invariant violated")
-            if len(children):
-                stack.append((i + 1, children))
+                if chunk_rows is None:
+                    children = _children(C, rows, pair, masks=masks)
+                else:
+                    children = _children(C, rows, pair, spill[used:], masks=masks)
+                    if children.base is spill:
+                        used += len(children)
+                if children.size and int(children.min()) < 0:
+                    raise RuntimeError("negative coordinate generated: enumeration invariant violated")
+                if len(children):
+                    stack.append((i + 1, children))
         yield i, rows
 
 

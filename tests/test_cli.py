@@ -97,11 +97,21 @@ def test_growth_bad_gcm_file_exits_2(capsys, tmp_path):
 
 def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
     children = weyl._children
-    monkeypatch.setattr(weyl, "_children", lambda *args: children(*args)[1:])
+    monkeypatch.setattr(weyl, "_children", lambda *args, **kw: children(*args, **kw)[1:])
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert captured.err.startswith("error: level 1: 4 up-edges lead in, 3 left descents")
+
+
+def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
+    counts = weyl._leaf_counts
+    monkeypatch.setattr(weyl, "_leaf_counts",
+                        lambda *args, **kw: tuple(n - 1 for n in counts(*args, **kw)))
+    code = main(["growth", "--algebra", "HA2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("error: level 3: 28 up-edges lead in, 27 left descents")
 
 
 # -------------------------------------------------------------- checkpoints

@@ -217,6 +217,24 @@ def test_pairings_and_children_match_python_ints(args):
     assert weyl._children(A, rows, pair, spill).tolist() == expected
 
 
+def _descents_by_rule(A, row):
+    """The left descents of an element on Python ints: nodes with pairing >= 2."""
+    return sum(sum(a * g for a, g in zip(line, row)) >= 2 for line in A.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(gcm_and_rows())
+def test_leaf_counts_match_python_ints(args):
+    # The last level of a count is never built: its size and left descents
+    # come from the parents' masks and must be those of the children.
+    A, rows = args
+    pair = weyl._pairings(A, rows)
+    children = _children_by_rule(A, rows)
+    expected = (len(children), sum(_descents_by_rule(A, child) for child in children))
+    assert weyl._leaf_counts(A, pair) == expected
+    assert weyl._leaf_counts(weyl._cartan(A), pair, masks=weyl._masks(pair)) == expected
+
+
 @pytest.mark.parametrize("name", ["HA3", "HA2"])
 def test_small_chunks_count_like_whole_levels(monkeypatch, name):
     # Chunks of 7 rows make the depth-first walk split every level past
@@ -243,11 +261,42 @@ def test_checkpoint_stops_at_the_memory_budget(monkeypatch, tmp_path):
 @pytest.mark.parametrize("order", [1, 6])
 def test_lost_child_breaks_the_edge_count(monkeypatch, tmp_path, order):
     real = weyl._children
-    monkeypatch.setattr(weyl, "_children", lambda A, parents, pair: real(A, parents, pair)[1:])
+    monkeypatch.setattr(weyl, "_children",
+                        lambda A, parents, pair, **kw: real(A, parents, pair, **kw)[1:])
     ck = tmp_path / "ha2.npz"
     with pytest.raises(RuntimeError, match="up-edges"):
         enumerate_levels(build_catalog("HA2").gcm, order, ck)
     assert not ck.exists()  # the short level 1 is caught before it is saved
+
+
+def test_lost_leaf_breaks_the_edge_count(monkeypatch):
+    # Without a checkpoint the last level is only counted; a counter that
+    # loses a child, and with it at least one left descent, must be caught.
+    real = weyl._leaf_counts
+
+    def lose_one(*args, **kwargs):
+        count, descents = real(*args, **kwargs)
+        return (count - 1, descents - 1) if count else (count, descents)
+
+    monkeypatch.setattr(weyl, "_leaf_counts", lose_one)
+    with pytest.raises(RuntimeError, match="up-edges"):
+        enumerate_levels(build_catalog("HA2").gcm, 6)
+
+
+@pytest.mark.parametrize("name,positive_roots,small_chunk", [("A2", 3, 1), ("E6", 36, 64)])
+def test_counted_last_level_at_the_longest_element(monkeypatch, name, positive_roots, small_chunk):
+    # The longest element has length N, the number of positive roots.  At
+    # order N - 1 and N the counted last level holds elements; at N + 1 it
+    # is empty, and the count is complete.  Small chunks split the last
+    # level's parents into chunks that count children and chunks that do not.
+    desc = build_catalog(name)
+    for chunk_rows in (weyl._CHUNK_ROWS, small_chunk):
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
+        for order in (positive_roots - 1, positive_roots, positive_roots + 1):
+            series = enumerate_levels(desc.gcm, order)
+            assert series.coeffs == tuple(map(len, level_sets(desc.gcm, order)))
+            assert series.complete == (order > positive_roots)
+            assert (series.total == weyl_group_order(desc)) == (order >= positive_roots)
 
 
 @st.composite
