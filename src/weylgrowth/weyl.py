@@ -16,6 +16,14 @@ rows: depth-first in chunks of bounded size when only the counts are
 wanted, so no level is ever held whole, and breadth-first, one whole level
 per chunk, for level sets and checkpoints.  Level sizes are the growth
 coefficients.  Coordinates are stored as checked 64-bit integers.
+
+The depth-first count never builds its last level: it counts that level's
+elements and their left descents from the masks that select them in their
+parents' chunks.  Those elements are nonnegative without a check, since
+each is a checked parent plus p = 1 - pair[nu] >= 1 at one coordinate.
+The coordinate budget still covers every parent chunk, and the edge-count
+invariant and the growth bound still cover every level, the last one
+included.
 """
 
 from __future__ import annotations
@@ -160,6 +168,7 @@ class _Cartan:
 
 
 def _cartan(A) -> _Cartan:
+    """``A`` as a :class:`_Cartan`, built unless it already is one."""
     return A if isinstance(A, _Cartan) else _Cartan(A)
 
 
@@ -307,7 +316,8 @@ def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: i
     not counted.  The children need no check of their own: each is a
     checked parent plus p = 1 - pair[nu] >= 1 at one coordinate, so it is
     nonnegative, and the coordinate budget covers the parent chunk whose
-    pairings the counts come from.
+    pairings the counts come from.  The tally of level max_order holds its
+    count and descents, so :func:`_check_levels` checks it like any other.
 
     Cut to ``chunk_rows``, the walk also reuses its arrays from chunk to
     chunk.  Its chunks nest: children are pushed after, and popped before,
@@ -562,10 +572,12 @@ def enumerate_levels(
     nonempty level and is marked complete.
 
     Without a checkpoint the canonical-parent tree is walked depth-first in
-    chunks of at most _CHUNK_ROWS rows, so no level is ever held whole.  The
-    edge-count invariant and the growth bound are checked for every level
-    once the walk ends.  ``full_history_dedup`` walks breadth-first instead
-    and rebuilds each level by deduplicating all reflections.
+    chunks of at most _CHUNK_ROWS rows, so no level is ever held whole, and
+    level ``max_order`` is counted from its parents' masks, not built.  The
+    edge-count invariant and the growth bound are checked for every level,
+    the counted one included, once the walk ends.  ``full_history_dedup``
+    walks breadth-first instead and rebuilds each level by deduplicating all
+    reflections.
 
     A checkpoint file, when given, is rewritten after every finished level
     and picked up transparently on the next call; a file written for a
