@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Per-level timing and size table for the level enumerator.
 
+The breadth-first traversal builds each level whole.  The seconds of level
+i time one step of it: pairing and checking level i and building level
+i + 1 from it (nothing is built after the last level).
+
 Example:
     python scripts/profile_enumeration.py --algebra HA3 --order 27
 """
@@ -11,28 +15,21 @@ import time
 import numpy as np
 
 from weylgrowth import build_catalog
-from weylgrowth.weyl import _walk  # profiling the internals on purpose
+from weylgrowth.weyl import _Cartan, _levels  # profiling the internals on purpose
 
 
 def profile(name: str, order: int) -> None:
     gcm = build_catalog(name).gcm
-    A = np.asarray(gcm.entries, dtype=np.int64)
-    # The breadth-first walk holds the next level whole on the stack once
-    # the current one is done, so each step's time is the cost of building it.
-    stack = [(0, np.zeros((1, gcm.rank), dtype=np.int64))]
+    zero = np.zeros((1, gcm.rank), dtype=np.int64)
     total = 1
     print(f"{'level':>5} {'count':>12} {'total':>12} {'max coord':>10} {'seconds':>8}")
     start = t0 = time.perf_counter()
-    for i, _ in _walk(A, stack, order, []):
+    for i, level, nxt in _levels(_Cartan(gcm.entries), zero, 1, order, []):
         dt = time.perf_counter() - t0
-        if i == order:
-            break
-        if not stack:
-            print(f"group exhausted after level {i}")
-            break
-        level = stack[-1][1]
         total += len(level)
-        print(f"{i + 1:>5} {len(level):>12} {total:>12} {int(level.max()):>10} {dt:>8.3f}")
+        print(f"{i:>5} {len(level):>12} {total:>12} {int(level.max()):>10} {dt:>8.3f}")
+        if nxt is not None and not len(nxt):
+            print(f"group exhausted after level {i}")
         t0 = time.perf_counter()
     print(f"total elements {total}, wall time {time.perf_counter() - start:.2f}s")
 

@@ -11,11 +11,14 @@ An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
 Casselman's "Computation in Coxeter groups").  Every element then arises
 exactly once, below its canonical parent, so the group is a rooted tree
-and nothing is deduplicated.  The tree is walked with a stack of chunks of
-rows: depth-first in chunks of bounded size when only the counts are
-wanted, so no level is ever held whole, and breadth-first, one whole level
-per chunk, for level sets and checkpoints.  Level sizes are the growth
-coefficients.  Coordinates are stored as checked 64-bit integers.
+and nothing is deduplicated.  Level sizes are the growth coefficients.
+The tree has two traversals, one function each: :func:`_count` walks it
+depth-first with a stack of chunks of bounded size when only the counts
+are wanted, so no level is ever held whole, and :func:`_levels` builds it
+breadth-first, one whole level at a time, for level sets and checkpoints.
+Both pair and tally each chunk or level with :func:`_tally` and build
+children through the checks of :func:`_checked_children`.  Coordinates are
+stored as checked 64-bit integers.
 
 The depth-first count never builds its last level: it counts that level's
 elements and their left descents from the masks that select them in their
@@ -135,16 +138,17 @@ def gamma_reflect(gcm: GeneralizedCartanMatrix, gamma, mu: int) -> tuple[int, ..
 
 
 class _Cartan:
-    """A Cartan matrix's entries as Python ints, read once per walk.
+    """A Cartan matrix as an int64 array and as Python ints, read once per call.
 
     Indexing an array and computing with numpy scalars costs far more than
-    the same work on Python ints, and the depth-first walk would pay it for
-    every entry in every chunk.  The functions below take ``A`` as the
-    int64 array or in this form (:func:`_cartan`); the walk passes this form.
+    the same work on Python ints, and the depth-first count would pay it for
+    every entry in every chunk.  Each public function builds this form once
+    and passes it to every kernel below.
     """
 
-    def __init__(self, A: np.ndarray):
-        entries = A.tolist()
+    def __init__(self, entries):
+        self.matrix = np.asarray(entries, dtype=np.int64)
+        entries = self.matrix.tolist()
         rank = len(entries)
         self.rank = rank
         self.diagonal = [entries[mu][mu] for mu in range(rank)]
@@ -167,19 +171,14 @@ class _Cartan:
         self.limit = (1 << _SAFE_BITS) // (c * (c + 3))
 
 
-def _cartan(A) -> _Cartan:
-    """``A`` as a :class:`_Cartan`, built unless it already is one."""
-    return A if isinstance(A, _Cartan) else _Cartan(A)
-
-
-def _check_coordinate_budget(A, level: np.ndarray) -> None:
+def _check_coordinate_budget(C: _Cartan, level: np.ndarray) -> None:
     """Raise OverflowError when a coordinate of ``level`` is past the limit
     of :class:`_Cartan`, so that its children and pairings cannot wrap."""
-    if level.size and int(level.max()) > _cartan(A).limit:
+    if level.size and int(level.max()) > C.limit:
         raise OverflowError("coordinates exceed the checked 64-bit budget")
 
 
-def _pairings(A, rows: np.ndarray, out=None) -> np.ndarray:
+def _pairings(C: _Cartan, rows: np.ndarray, out=None) -> np.ndarray:
     """``A @ rows.T``, written into ``out`` when given.
 
     numpy multiplies int64 matrices without BLAS, element by element; one
@@ -188,7 +187,6 @@ def _pairings(A, rows: np.ndarray, out=None) -> np.ndarray:
     into one scratch row, allocated once per call.  Exact by the bound in
     :class:`_Cartan`.
     """
-    C = _cartan(A)
     if out is None:
         out = np.empty((C.rank, len(rows)), dtype=np.int64)
     scratch = None
@@ -204,11 +202,6 @@ def _pairings(A, rows: np.ndarray, out=None) -> np.ndarray:
                 np.multiply(rows[:, nu], a, out=scratch)
                 acc += scratch
     return out
-
-
-def _masks(pair: np.ndarray) -> tuple:
-    """The up-move mask ``pair <= 0`` and the mask ``pair < 2`` of non-descents."""
-    return pair <= 0, pair < 2
 
 
 def _moved(pair: np.ndarray, mu: int, nu: int, a: int) -> np.ndarray:
@@ -234,15 +227,16 @@ def _kept(C: _Cartan, pair: np.ndarray, masks: tuple, nu: int) -> np.ndarray:
     return keep
 
 
-def _children(A, parents: np.ndarray, pair: np.ndarray, out=None, *, masks=None) -> np.ndarray:
+def _children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, out=None, *,
+              masks: tuple) -> np.ndarray:
     """The children whose canonical parent is one of ``parents``.
 
     ``pair`` is ``A @ parents.T``, so pair[mu] holds the pairings of every
-    parent with row mu of A, and ``masks`` is ``_masks(pair)`` when the
-    caller has it.  Each parent's kept up-moves are those of :func:`_kept`.
+    parent with row mu of A, and ``masks`` are its masks from :func:`_tally`.
+    Each parent's kept up-moves are those of :func:`_kept`.
     Children come grouped by nu, the last node's group first, each group in
     parent order.
-    A walk that cuts its chunks off the end thus visits the children of
+    A count that cuts its chunks off the end thus visits the children of
     node 0 first; they have the fewest descendants, so fewer rows wait on
     its stack (on E8 to order 40 at most 54 thousand, against 575 thousand
     in ascending order).  The children fill the leading rows of ``out``
@@ -252,8 +246,6 @@ def _children(A, parents: np.ndarray, pair: np.ndarray, out=None, *, masks=None)
     the default ``mode="raise"``; the indices come from ``np.flatnonzero``
     over masks as long as ``parents``, so clipping never moves one.
     """
-    C = _cartan(A)
-    masks = _masks(pair) if masks is None else masks
     picks = [np.flatnonzero(_kept(C, pair, masks, nu)) for nu in range(C.rank)]
     size = sum(map(len, picks))
     if out is None or len(out) < size:
@@ -269,7 +261,7 @@ def _children(A, parents: np.ndarray, pair: np.ndarray, out=None, *, masks=None)
     return children
 
 
-def _leaf_counts(A, pair: np.ndarray, *, masks=None) -> tuple[int, int]:
+def _leaf_counts(C: _Cartan, pair: np.ndarray, *, masks: tuple) -> tuple[int, int]:
     """How many children :func:`_children` would give, and their left
     descents summed, without building them.
 
@@ -279,8 +271,6 @@ def _leaf_counts(A, pair: np.ndarray, *, masks=None) -> tuple[int, int]:
     pair[mu] - A[mu, nu] pair[nu] >= 2 - A[mu, nu], or pair[mu] >= 2 where
     A[mu, nu] is 0.  These are the children's exact integer pairings.
     """
-    C = _cartan(A)
-    masks = _masks(pair) if masks is None else masks
     below_two = masks[1]
     count = descents = 0
     for nu in range(C.rank):
@@ -298,86 +288,93 @@ def _leaf_counts(A, pair: np.ndarray, *, masks=None) -> tuple[int, int]:
     return count, descents
 
 
-def _walk(A: np.ndarray, stack: list, max_order: int, tally: list, chunk_rows: int | None = None):
-    """Walk the canonical-parent tree below the (level index, rows) chunks on ``stack``.
+def _tally(C: _Cartan, rows: np.ndarray, i: int, tally: list, out=None) -> tuple:
+    """The pairings of ``rows``, rows of level i, and their masks.
 
-    Each popped chunk, cut to at most ``chunk_rows`` rows (None: no limit),
-    adds its row count, the up-edges leaving it and its left descents to
-    ``tally[i]``; below ``max_order`` its children are pushed as one chunk
-    of level i+1.  The chunk is yielded once its children are on the stack.
-    Newest first, the walk is depth-first and holds at most one chunk's
-    children per level; with no limit every chunk is a whole level and the
-    walk is breadth-first.
-
-    Cut to ``chunk_rows``, the walk does not build level ``max_order``: a
-    chunk of level max_order - 1 adds its children's count and left
-    descents to ``tally[max_order]`` from the masks that select them
-    (:func:`_leaf_counts`), and their up-edges, which nothing checks, are
-    not counted.  The children need no check of their own: each is a
-    checked parent plus p = 1 - pair[nu] >= 1 at one coordinate, so it is
-    nonnegative, and the coordinate budget covers the parent chunk whose
-    pairings the counts come from.  The tally of level max_order holds its
-    count and descents, so :func:`_check_levels` checks it like any other.
-
-    Cut to ``chunk_rows``, the walk also reuses its arrays from chunk to
-    chunk.  Its chunks nest: children are pushed after, and popped before,
-    every chunk already on the stack.  So they are written into one array
-    used as a stack (``spill``), right above the rows still waiting there,
-    and into a new array only when it is full.  A popped chunk is copied
-    into ``parents`` and its pairings go into ``pairings``; the rows it
-    yields are those of ``parents``, valid until the walk resumes.  Fresh
-    megabyte arrays per chunk would have the allocator hand memory back to
-    the system and fault it in again chunk after chunk, a cost that swings
-    with host load.
+    The masks are ``pair <= 0``, the up-moves, and ``pair < 2``, the nodes
+    that are not left descents.  The row count, the up-edges leaving the
+    rows and their left descents are added to ``tally[i]``.  ``out`` is as
+    for :func:`_pairings`.
     """
-    C = _cartan(A)
-    if chunk_rows is not None:
-        parents = np.empty((chunk_rows, C.rank), dtype=np.int64)
-        pairings = np.empty((C.rank, chunk_rows), dtype=np.int64)
-        # Pages are touched only as rows are used; E8 to order 40 keeps at
-        # most a fifth of these rows waiting.
-        spill = np.empty((2 * C.rank * chunk_rows, C.rank), dtype=np.int64)
-        used = 0  # leading rows of spill held by chunks on the stack
+    pair = _pairings(C, rows, out)
+    masks = pair <= 0, pair < 2
+    while len(tally) <= i:
+        tally.append([0, 0, 0])
+    tally[i][0] += len(rows)
+    tally[i][1] += int(np.count_nonzero(masks[0]))
+    tally[i][2] += pair.size - int(np.count_nonzero(masks[1]))
+    return pair, masks
+
+
+def _checked_children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, masks: tuple,
+                      out=None) -> np.ndarray:
+    """:func:`_children` of ``parents`` within the coordinate budget, checked
+    to be nonnegative."""
+    _check_coordinate_budget(C, parents)
+    children = _children(C, parents, pair, out=out, masks=masks)
+    if children.size and int(children.min()) < 0:
+        raise RuntimeError("negative coordinate generated: enumeration invariant violated")
+    return children
+
+
+def _count(C: _Cartan, stack: list, max_order: int, tally: list) -> None:
+    """Count the canonical-parent tree below the (level index, rows) chunks
+    on ``stack`` depth-first, into ``tally`` (:func:`_tally`).
+
+    Each popped chunk is cut to at most _CHUNK_ROWS rows, the rest pushed
+    back.  Below level max_order - 1 its children are pushed as one chunk of
+    the next level.  Newest first, the walk holds at most one chunk's
+    children per level.
+
+    Level max_order is not built: a chunk of level max_order - 1 adds its
+    children's count and left descents to ``tally[max_order]`` from the masks
+    that select them (:func:`_leaf_counts`), and their up-edges, which
+    nothing checks, are not counted.  The children need no check of their
+    own: each is a checked parent plus p = 1 - pair[nu] >= 1 at one
+    coordinate, so it is nonnegative, and the coordinate budget covers the
+    parent chunk whose pairings the counts come from.  The tally of level
+    max_order holds its count and descents, so :func:`_check_levels` checks
+    it like any other.
+
+    The walk reuses its arrays from chunk to chunk.  Its chunks nest:
+    children are pushed after, and popped before, every chunk already on
+    the stack.  So they are written into one array used as a stack
+    (``spill``), right above the rows still waiting there, and into a new
+    array only when it is full.  A popped chunk is copied into ``parents``
+    and its pairings go into ``pairings``.  Fresh megabyte arrays per chunk
+    would have the allocator hand memory back to the system and fault it in
+    again chunk after chunk, a cost that swings with host load.
+    """
+    parents = np.empty((_CHUNK_ROWS, C.rank), dtype=np.int64)
+    pairings = np.empty((C.rank, _CHUNK_ROWS), dtype=np.int64)
+    # Pages are touched only as rows are used; E8 to order 40 keeps at
+    # most a fifth of these rows waiting.
+    spill = np.empty((2 * C.rank * _CHUNK_ROWS, C.rank), dtype=np.int64)
+    used = 0  # leading rows of spill held by chunks on the stack
     while stack:
         i, rows = stack.pop()
-        if chunk_rows is None:
-            pair = _pairings(C, rows)
-        else:
-            if len(rows) > chunk_rows:
-                stack.append((i, rows[:-chunk_rows]))
-                rows = rows[-chunk_rows:]
-            if rows.base is spill:
-                used -= len(rows)
-            np.copyto(parents[:len(rows)], rows)
-            rows = parents[:len(rows)]
-            pair = _pairings(C, rows, pairings[:, :len(rows)])
-        masks = _masks(pair)
-        while len(tally) <= i:
-            tally.append([0, 0, 0])
-        tally[i][0] += len(rows)
-        tally[i][1] += int(np.count_nonzero(masks[0]))
-        tally[i][2] += pair.size - int(np.count_nonzero(masks[1]))
-        if i < max_order:
+        if len(rows) > _CHUNK_ROWS:
+            stack.append((i, rows[:-_CHUNK_ROWS]))
+            rows = rows[-_CHUNK_ROWS:]
+        if rows.base is spill:
+            used -= len(rows)
+        np.copyto(parents[:len(rows)], rows)
+        rows = parents[:len(rows)]
+        pair, masks = _tally(C, rows, i, tally, pairings[:, :len(rows)])
+        if i + 1 == max_order:
             _check_coordinate_budget(C, rows)
-            if chunk_rows is not None and i + 1 == max_order:
-                count, descents = _leaf_counts(C, pair, masks=masks)
-                if count:
-                    if len(tally) == max_order:
-                        tally.append([0, 0, 0])
-                    tally[max_order][0] += count
-                    tally[max_order][2] += descents
-            else:
-                if chunk_rows is None:
-                    children = _children(C, rows, pair, masks=masks)
-                else:
-                    children = _children(C, rows, pair, spill[used:], masks=masks)
-                    if children.base is spill:
-                        used += len(children)
-                if children.size and int(children.min()) < 0:
-                    raise RuntimeError("negative coordinate generated: enumeration invariant violated")
-                if len(children):
-                    stack.append((i + 1, children))
-        yield i, rows
+            count, descents = _leaf_counts(C, pair, masks=masks)
+            if count:
+                if len(tally) == max_order:
+                    tally.append([0, 0, 0])
+                tally[max_order][0] += count
+                tally[max_order][2] += descents
+        elif i < max_order:
+            children = _checked_children(C, rows, pair, masks, spill[used:])
+            if children.base is spill:
+                used += len(children)
+            if len(children):
+                stack.append((i + 1, children))
 
 
 def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
@@ -395,24 +392,24 @@ def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
             raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
 
 
-def _reflect_all(A: np.ndarray, level: np.ndarray) -> np.ndarray:
+def _reflect_all(C: _Cartan, level: np.ndarray) -> np.ndarray:
     """All rank reflections of every row, stacked."""
-    pair = level @ A.T  # pair[:, mu] = <row mu of A, gamma>
+    pair = level @ C.matrix.T  # pair[:, mu] = <row mu of A, gamma>
     blocks = []
-    for mu in range(A.shape[0]):
+    for mu in range(C.rank):
         block = level.copy()
         block[:, mu] += 1 - pair[:, mu]
         blocks.append(block)
     return np.concatenate(blocks)
 
 
-def _reference_level(A: np.ndarray, prev: np.ndarray, index: int, history: dict) -> set:
+def _reference_level(C: _Cartan, prev: np.ndarray, index: int, history: dict) -> set:
     """Level ``index`` as all reflections of level index-1 minus every earlier
     level (``history`` maps rows to levels); a hit outside level index-2 is
     an error.  Shares nothing with the canonical-parent rule but the input.
     """
     found = set()
-    for row in map(tuple, np.unique(_reflect_all(A, prev), axis=0).tolist()):
+    for row in map(tuple, np.unique(_reflect_all(C, prev), axis=0).tolist()):
         seen = history.get(row)
         if seen is None:
             found.add(row)
@@ -421,25 +418,32 @@ def _reference_level(A: np.ndarray, prev: np.ndarray, index: int, history: dict)
     return found
 
 
-def _levels(A: np.ndarray, stack: list, first: int, max_order: int, tally: list,
+def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: list,
             full_history: bool = False):
-    """Walk breadth-first from the level on ``stack`` and yield each level
-    i >= first, whole, once it is checked.
+    """Build levels breadth-first from ``level``, the level first - 1, and
+    yield (i, level i, level i + 1) for each i >= first once level i is checked.
 
-    With ``full_history`` each next level must also equal, as a set, its
+    Level i + 1 is built whole before level i is checked, and added to
+    ``tally`` in the next step.  It is empty when the group ends at level i,
+    and None for i = max_order, the last level yielded.  With
+    ``full_history`` each level must also equal, as a set, its
     :func:`_reference_level`.
     """
-    history = {tuple(stack[0][1][0].tolist()): first - 1} if full_history else None
-    for i, level in _walk(A, stack, max_order, tally):
-        if history is not None and i < max_order:
-            children = stack[-1][1] if stack else level[:0]
-            expected = _reference_level(A, level, i + 1, history)
-            if len(expected) != len(children) or expected != set(map(tuple, children.tolist())):
+    history = {tuple(level[0].tolist()): first - 1} if full_history else None
+    for i in range(first - 1, max_order + 1):
+        pair, masks = _tally(C, level, i, tally)
+        nxt = _checked_children(C, level, pair, masks) if i < max_order else None
+        if history is not None and nxt is not None:
+            expected = _reference_level(C, level, i + 1, history)
+            if len(expected) != len(nxt) or expected != set(map(tuple, nxt.tolist())):
                 raise RuntimeError(f"level {i + 1} differs from its full-history reference")
             history.update(dict.fromkeys(expected, i + 1))
         if i >= first:
-            _check_levels(tally, i, i, A.shape[0])
-            yield i, level
+            _check_levels(tally, i, i, C.rank)
+            yield i, level, nxt
+        if nxt is None or not len(nxt):
+            return
+        level = nxt
 
 
 def _memory_budget() -> int:
@@ -447,19 +451,18 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _step_bytes(A: np.ndarray, level: np.ndarray) -> int:
+def _step_bytes(C: _Cartan, level: np.ndarray) -> int:
     """Bytes held while building the level after ``level`` whole.
 
     It has at most rank * |level| rows of rank int64 coordinates, and a
     step holds about _WORKING_COPIES arrays of that size.
     """
-    rank = A.shape[0]
-    return rank * len(level) * rank * 8 * _WORKING_COPIES
+    return C.rank * len(level) * C.rank * 8 * _WORKING_COPIES
 
 
-def _fits(A: np.ndarray, level: np.ndarray) -> bool:
+def _fits(C: _Cartan, level: np.ndarray) -> bool:
     """Whether building the level after ``level`` whole fits the budget."""
-    return _step_bytes(A, level) <= _memory_budget()
+    return _step_bytes(C, level) <= _memory_budget()
 
 
 @dataclass(frozen=True)
@@ -508,8 +511,8 @@ class LevelCheckpoint:
         os.replace(tmp, path)
 
     @staticmethod
-    def load(path, gcm: GeneralizedCartanMatrix | None = None) -> "LevelCheckpoint":
-        """Read a checkpoint; with ``gcm``, it must also have been written for it."""
+    def load(path, gcm: GeneralizedCartanMatrix) -> "LevelCheckpoint":
+        """Read a checkpoint, which must have been written for ``gcm``."""
         try:
             with np.load(Path(path), allow_pickle=False) as data:
                 version = int(data["version"])
@@ -529,18 +532,18 @@ class LevelCheckpoint:
             raise
         except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
-        if gcm is not None and state.algebra_digest != gcm_digest(gcm):
+        if state.algebra_digest != gcm_digest(gcm):
             raise CheckpointMismatchError("checkpoint belongs to a different algebra")
-        problem = state._inconsistency(gcm.rank if gcm is not None else None, digest)
+        problem = state._inconsistency(gcm.rank, digest)
         if problem:
             raise CheckpointMismatchError(f"inconsistent checkpoint {path}: {problem}")
         return state
 
-    def _inconsistency(self, rank: int | None, digest: str) -> str:
+    def _inconsistency(self, rank: int, digest: str) -> str:
         level, coeffs = self.level, self.coeffs
         if self.level_index < 0 or len(coeffs) != self.level_index + 1:
             return f"{len(coeffs)} coefficients for level {self.level_index}"
-        if level.ndim != 2 or (rank is not None and level.shape[1] != rank):
+        if level.ndim != 2 or level.shape[1] != rank:
             return f"level rows have shape {level.shape}, expected width {rank}"
         if len(level) != coeffs[-1]:
             return f"level {self.level_index} has {len(level)} rows but count {coeffs[-1]}"
@@ -571,20 +574,21 @@ def enumerate_levels(
     group is finite and fully enumerated; the series stops at the last
     nonempty level and is marked complete.
 
-    Without a checkpoint the canonical-parent tree is walked depth-first in
-    chunks of at most _CHUNK_ROWS rows, so no level is ever held whole, and
-    level ``max_order`` is counted from its parents' masks, not built.  The
-    edge-count invariant and the growth bound are checked for every level,
-    the counted one included, once the walk ends.  ``full_history_dedup``
-    walks breadth-first instead and rebuilds each level by deduplicating all
-    reflections.
+    Without a checkpoint :func:`_count` walks the canonical-parent tree
+    depth-first in chunks of at most _CHUNK_ROWS rows, so no level is ever
+    held whole, and level ``max_order`` is counted from its parents' masks,
+    not built.  The edge-count invariant and the growth bound are checked for
+    every level, the counted one included, once the walk ends.
+    ``full_history_dedup`` builds every level breadth-first instead
+    (:func:`_levels`) and rebuilds each one by deduplicating all reflections.
 
     A checkpoint file, when given, is rewritten after every finished level
     and picked up transparently on the next call; a file written for a
     different matrix, or one whose contents do not fit together, raises
-    CheckpointMismatchError.  Levels are built whole, checked and saved
-    while the next one fits the memory budget; below the last saved level
-    the rest is counted depth-first, and the checkpoint stays at that level.
+    CheckpointMismatchError.  :func:`_levels` builds, checks and saves whole
+    levels while the next one fits the memory budget; from the next level
+    on, :func:`_count` counts the rest depth-first, and the checkpoint stays
+    at the last saved level.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -593,7 +597,7 @@ def enumerate_levels(
     if full_history_dedup and checkpoint_path is not None:
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
 
-    A = np.asarray(gcm.entries, dtype=np.int64)
+    C = _Cartan(gcm.entries)
     digest = gcm_digest(gcm)
     coeffs = [1]
     level = np.zeros((1, gcm.rank), dtype=np.int64)
@@ -611,17 +615,18 @@ def enumerate_levels(
         first = state.level_index + 1
 
     tally: list = []
-    stack = [(first - 1, level)]
-    if full_history_dedup or (ckpt is not None and _fits(A, level)):
-        for i, level in _levels(A, stack, first, max_order, tally, full_history_dedup):
+    rest = [(first - 1, level)]  # what is left to count depth-first
+    if full_history_dedup or (ckpt is not None and _fits(C, level)):
+        rest = []
+        for i, level, nxt in _levels(C, level, first, max_order, tally, full_history_dedup):
             coeffs.append(len(level))
             if ckpt is not None:
                 LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
-                if stack and not _fits(A, stack[-1][1]):
+                if nxt is not None and not _fits(C, nxt):
+                    rest = [(i + 1, nxt)]
                     break
     saved = len(coeffs) - 1
-    for _ in _walk(A, stack, max_order, tally, _CHUNK_ROWS):
-        pass
+    _count(C, rest, max_order, tally)
     _check_levels(tally, first, min(max_order, len(tally)), gcm.rank)
     coeffs += [count for count, _, _ in tally[len(coeffs):]]
     complete = len(coeffs) <= max_order  # an empty level ended the run early
@@ -639,9 +644,9 @@ def level_sets(
     """The actual level sets, for inspection and property tests.
 
     Returns one (n, rank) array of lexicographically sorted rows per level,
-    starting with the zero vector at level 0, from the breadth-first form
-    of the walk behind :func:`enumerate_levels`.  Stops early at the first
-    empty level.
+    starting with the zero vector at level 0, from the breadth-first
+    traversal that :func:`enumerate_levels` checkpoints.  Stops early at the
+    first empty level.
 
     Every level is held whole.  Before a level is built from the one before
     it, the step must fit the memory budget (half the physical memory);
@@ -651,16 +656,15 @@ def level_sets(
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    A = np.asarray(gcm.entries, dtype=np.int64)
+    C = _Cartan(gcm.entries)
     zero = np.zeros((1, gcm.rank), dtype=np.int64)
     tally: list = []
-    stack = [(0, zero)]
     levels = [zero]
-    for i, level in _levels(A, stack, 1, max_order, tally, full_history_dedup):
+    for i, level, nxt in _levels(C, zero, 1, max_order, tally, full_history_dedup):
         levels.append(level[np.lexsort(level.T[::-1])])
-        # Level i + 1 waits on the stack; the next step builds level i + 2.
-        if stack and i + 1 < max_order and not _fits(A, stack[-1][1]):
-            raise LevelTooLargeError(i + 2, _step_bytes(A, stack[-1][1]), _memory_budget())
+        # Level i + 1 is built; the next step builds level i + 2 from it.
+        if i + 1 < max_order and not _fits(C, nxt):
+            raise LevelTooLargeError(i + 2, _step_bytes(C, nxt), _memory_budget())
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     return levels
 

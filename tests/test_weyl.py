@@ -133,17 +133,22 @@ def test_full_history_dedup_matches_windowed():
         )
 
 
-def test_chunked_threads_keep_row_order(monkeypatch, tmp_path):
-    # Neither the chunk size nor the worker count may change the rows of the
-    # breadth-first level a checkpoint stores.
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+def test_chunk_size_and_workers_keep_checkpoint_rows(monkeypatch, tmp_path):
+    # Neither the chunk size nor the worker count may change the counts or
+    # the rows of the breadth-first level a checkpoint stores.  A budget for
+    # an HA3 step from a level of at most 300 rows saves level 6 (252 rows)
+    # and leaves levels 7 to 9 to the depth-first count.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 5 * 300 * 5 * 8 * weyl._WORKING_COPIES)
     gcm = build_catalog("HA3").gcm
-    rows = {}
-    for workers in (1, 3):
-        ck = tmp_path / f"w{workers}.npz"
+    rows = []
+    for chunk_rows, workers in ((weyl._CHUNK_ROWS, 1), (7, 1), (7, 3)):
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
+        ck = tmp_path / f"c{chunk_rows}w{workers}.npz"
         assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
-        rows[workers] = weyl.LevelCheckpoint.load(ck, gcm).level
-    assert np.array_equal(rows[1], rows[3])
+        state = weyl.LevelCheckpoint.load(ck, gcm)
+        assert state.level_index == 6
+        rows.append(state.level)
+    assert all(np.array_equal(rows[0], other) for other in rows[1:])
 
 
 def test_e7_whole_group():
@@ -154,16 +159,17 @@ def test_e7_whole_group():
 
 def test_children_fill_out_when_it_is_long_enough():
     gcm = build_catalog("HA3").gcm
-    A = np.asarray(gcm.entries, dtype=np.int64)
+    C = weyl._Cartan(gcm.entries)
     parents = level_sets(gcm, 4)[4]
-    pair = A @ parents.T
-    fresh = weyl._children(A, parents, pair)
+    pair = C.matrix @ parents.T
+    masks = pair <= 0, pair < 2
+    fresh = weyl._children(C, parents, pair, masks=masks)
     out = np.full((gcm.rank * len(parents), gcm.rank), -1, dtype=np.int64)
-    into = weyl._children(A, parents, pair, out)
+    into = weyl._children(C, parents, pair, out, masks=masks)
     assert into.base is out and np.array_equal(into, fresh)
     assert (out[len(fresh):] == -1).all()
     short = out[:len(fresh) - 1]
-    elsewhere = weyl._children(A, parents, pair, short)
+    elsewhere = weyl._children(C, parents, pair, short, masks=masks)
     assert elsewhere.base is not out and np.array_equal(elsewhere, fresh)
 
 
@@ -205,16 +211,18 @@ def _children_by_rule(A, rows):
 @given(gcm_and_rows())
 def test_pairings_and_children_match_python_ints(args):
     A, rows = args
-    weyl._check_coordinate_budget(A, rows)  # the rows are inside the budget
+    C = weyl._Cartan(A)
+    weyl._check_coordinate_budget(C, rows)  # the rows are inside the budget
     exact = (A.astype(object) @ rows.T.astype(object)).tolist()
-    pair = weyl._pairings(A, rows)
+    pair = weyl._pairings(C, rows)
     assert pair.tolist() == exact
     out = np.full(pair.shape, -7, dtype=np.int64)
-    assert weyl._pairings(A, rows, out) is out and out.tolist() == exact
+    assert weyl._pairings(C, rows, out) is out and out.tolist() == exact
     expected = _children_by_rule(A, rows)
-    assert weyl._children(A, rows, pair).tolist() == expected
+    masks = pair <= 0, pair < 2
+    assert weyl._children(C, rows, pair, masks=masks).tolist() == expected
     spill = np.full((A.shape[0] * len(rows), A.shape[0]), -1, dtype=np.int64)
-    assert weyl._children(A, rows, pair, spill).tolist() == expected
+    assert weyl._children(C, rows, pair, spill, masks=masks).tolist() == expected
 
 
 def _descents_by_rule(A, row):
@@ -228,20 +236,23 @@ def test_leaf_counts_match_python_ints(args):
     # The last level of a count is never built: its size and left descents
     # come from the parents' masks and must be those of the children.
     A, rows = args
-    pair = weyl._pairings(A, rows)
+    C = weyl._Cartan(A)
+    pair = weyl._pairings(C, rows)
     children = _children_by_rule(A, rows)
     expected = (len(children), sum(_descents_by_rule(A, child) for child in children))
-    assert weyl._leaf_counts(A, pair) == expected
-    assert weyl._leaf_counts(weyl._cartan(A), pair, masks=weyl._masks(pair)) == expected
+    assert weyl._leaf_counts(C, pair, masks=(pair <= 0, pair < 2)) == expected
 
 
 @pytest.mark.parametrize("name", ["HA3", "HA2"])
 def test_small_chunks_count_like_whole_levels(monkeypatch, name):
-    # Chunks of 7 rows make the depth-first walk split every level past
-    # the first few across many chunks and subtrees.
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    # Chunks of 7 rows make the depth-first count split every level past
+    # the first few across many chunks and subtrees.  Chunks of 1 row also
+    # fill its spill array, so that children go to fresh arrays at times.
     gcm = build_catalog(name).gcm
-    assert enumerate_levels(gcm, 12).coeffs == tuple(len(lvl) for lvl in level_sets(gcm, 12))
+    whole = tuple(len(lvl) for lvl in level_sets(gcm, 12))
+    for chunk_rows in (7, 1):
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
+        assert enumerate_levels(gcm, 12).coeffs == whole
 
 
 def test_checkpoint_stops_at_the_memory_budget(monkeypatch, tmp_path):
