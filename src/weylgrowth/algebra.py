@@ -146,8 +146,8 @@ class AlgebraDescriptor:
 def validate_gcm(entries, labels=None) -> GeneralizedCartanMatrix:
     """Check the generalized Cartan matrix axioms and wrap the matrix.
 
-    Axioms: the matrix is square with integer entries, every diagonal
-    entry is 2, off-diagonal entries are <= 0, and A[i][j] = 0 exactly
+    Axioms: the matrix is square with integer entries (booleans are not
+    integers here), every diagonal entry is 2, off-diagonal entries are <= 0, and A[i][j] = 0 exactly
     when A[j][i] = 0.  Default labels are "0".."rank-1".
 
     Raises CartanMatrixError describing the first violated axiom.
@@ -160,7 +160,7 @@ def validate_gcm(entries, labels=None) -> GeneralizedCartanMatrix:
         if len(row) != n:
             raise CartanMatrixError(f"matrix is not square: row {i} has length {len(row)}, expected {n}")
         for j, x in enumerate(row):
-            if not hasattr(x, "__index__"):
+            if isinstance(x, bool) or not hasattr(x, "__index__"):
                 raise CartanMatrixError(f"entry ({i},{j}) is not an integer: {x!r}")
     mat = [[int(x) for x in row] for row in rows]
     for i in range(n):
@@ -353,6 +353,8 @@ def gcm_from_json(text: str) -> GeneralizedCartanMatrix:
         raise ValueError('GCM JSON must be an object with a "matrix" key')
     matrix = data["matrix"]
     labels = data.get("labels")
+    if labels is not None and not isinstance(labels, list):
+        raise ValueError('GCM JSON "labels" must be an array')
     return validate_gcm(matrix, labels)
 
 

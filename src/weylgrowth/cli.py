@@ -71,7 +71,8 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="also build each level by deduplicating all reflections against every earlier level, and check it matches")
+                   help="also check every level, as a set, against an independent breadth-first search "
+                        "over the orbit of rho that deduplicates against every earlier level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,7 +206,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
+def _verify_report(order: int, margin: int) -> list[dict]:
     """Run every reference check, at reduced order where applicable."""
     items: list[dict] = []
 
@@ -216,8 +217,8 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
     ha2 = build_catalog("HA2")
     ha3_order = min(order, 27)
     ha2_order = min(order, 24)
-    g3 = enumerate_levels(ha3.gcm, ha3_order, workers=workers, algebra_name="HA3")
-    g2 = enumerate_levels(ha2.gcm, ha2_order, workers=workers, algebra_name="HA2")
+    g3 = enumerate_levels(ha3.gcm, ha3_order, algebra_name="HA3")
+    g2 = enumerate_levels(ha2.gcm, ha2_order, algebra_name="HA2")
 
     expected3 = golden.HA3_GROWTH_REFERENCE[: ha3_order + 1]
     add("growth-ha3", "pass" if g3.coeffs == expected3 else "fail",
@@ -269,7 +270,7 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
 
     for cand_name in ("A2", "A3", "A4", "D4", "D5"):
         desc = build_catalog(cand_name)
-        series = enumerate_levels(desc.gcm, 10 * desc.rank_param + 10, workers=workers)
+        series = enumerate_levels(desc.gcm, 10 * desc.rank_param + 10)
         expected_total = algebra.weyl_group_order(desc)
         poincare = finite_poincare(invariant_degrees(desc))
         ok = series.complete and series.total == expected_total and series.coeffs == poincare.coeffs
@@ -280,7 +281,7 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
     bott_order = min(15, order)
     for base in ("A1", "A2"):
         desc = build_catalog("Aff" + base)
-        series = enumerate_levels(desc.gcm, bott_order, workers=workers)
+        series = enumerate_levels(desc.gcm, bott_order)
         expected = affine_poincare(invariant_degrees(build_catalog(base)), bott_order)
         ok = not series.complete and series.coeffs == expected.coeffs
         add(f"affine-series-{base.lower()}", "pass" if ok else "fail",
@@ -301,7 +302,7 @@ def _verify_report(order: int, margin: int, workers: int) -> list[dict]:
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
-    items = _verify_report(args.order, args.margin, args.workers)
+    items = _verify_report(args.order, args.margin)
     width = max(len(i["item"]) for i in items)
     text = ""
     for i in items:

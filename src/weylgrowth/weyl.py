@@ -27,6 +27,12 @@ each is a checked parent plus p = 1 - pair[nu] >= 1 at one coordinate.
 The coordinate budget still covers every parent chunk, and the edge-count
 invariant and the growth bound still cover every level, the last one
 included.
+
+One reference, :func:`_orbit_levels`, computes the same levels by a
+breadth-first search over the orbit of rho in weight coordinates, with
+Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
+its levels, and the full-history cross-check of :func:`enumerate_levels`
+and :func:`level_sets` compares every level built with it as a set.
 """
 
 from __future__ import annotations
@@ -392,52 +398,62 @@ def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
             raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
 
 
-def _reflect_all(C: _Cartan, level: np.ndarray) -> np.ndarray:
-    """All rank reflections of every row, stacked."""
-    pair = level @ C.matrix.T  # pair[:, mu] = <row mu of A, gamma>
-    blocks = []
-    for mu in range(C.rank):
-        block = level.copy()
-        block[:, mu] += 1 - pair[:, mu]
-        blocks.append(block)
-    return np.concatenate(blocks)
+def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int):
+    """Yield the vectors rho - w(rho) of levels 1..max_order, one list per
+    level, up to and including the first empty level.
 
-
-def _reference_level(C: _Cartan, prev: np.ndarray, index: int, history: dict) -> set:
-    """Level ``index`` as all reflections of level index-1 minus every earlier
-    level (``history`` maps rows to levels); a hit outside level index-2 is
-    an error.  Shares nothing with the canonical-parent rule but the input.
+    A breadth-first search over the orbit of rho: states are weight-basis
+    coordinate tuples starting from all ones, and reflection mu subtracts c
+    times column mu of the Cartan matrix, where c is the state's coordinate
+    mu; the new state's vector is its parent's plus c at coordinate mu.
+    ``seen`` maps every state found to its level.  A reflection moves the
+    word length by exactly one, so an image already seen must lie in the
+    level being built or two levels back; anything else raises RuntimeError.
+    This shares neither representation nor pairings nor the canonical-parent
+    rule with the enumerator.  Python integers keep it exact at any size;
+    it is meant for small ranks and orders.
     """
-    found = set()
-    for row in map(tuple, np.unique(_reflect_all(C, prev), axis=0).tolist()):
-        seen = history.get(row)
-        if seen is None:
-            found.add(row)
-        elif seen != index - 2:
-            raise RuntimeError(f"reflection for level {index} already in level {seen}")
-    return found
+    rank = gcm.rank
+    columns = [tuple(gcm.entries[nu][mu] for nu in range(rank)) for mu in range(rank)]
+    start = (1,) * rank
+    seen = {start: 0}
+    frontier = [(start, (0,) * rank)]
+    for k in range(1, max_order + 1):
+        nxt = []
+        for state, gamma in frontier:
+            for mu, c in enumerate(state):
+                image = tuple(s - c * a for s, a in zip(state, columns[mu]))
+                j = seen.get(image)
+                if j is None:
+                    seen[image] = k
+                    nxt.append((image, gamma[:mu] + (gamma[mu] + c,) + gamma[mu + 1:]))
+                elif j != k and j != k - 2:
+                    raise RuntimeError(f"reflection for level {k} already in level {j}")
+        yield [gamma for _, gamma in nxt]
+        if not nxt:
+            return
+        frontier = nxt
 
 
 def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: list,
-            full_history: bool = False):
+            reference=None):
     """Build levels breadth-first from ``level``, the level first - 1, and
     yield (i, level i, level i + 1) for each i >= first once level i is checked.
 
     Level i + 1 is built whole before level i is checked, and added to
     ``tally`` in the next step.  It is empty when the group ends at level i,
-    and None for i = max_order, the last level yielded.  With
-    ``full_history`` each level must also equal, as a set, its
-    :func:`_reference_level`.
+    and None for i = max_order, the last level yielded.  ``reference``, when
+    given, iterates over the levels first.. of :func:`_orbit_levels`; every
+    level built, the empty one that ends a finite group included, must equal
+    the oracle's as a set of rows.
     """
-    history = {tuple(level[0].tolist()): first - 1} if full_history else None
     for i in range(first - 1, max_order + 1):
         pair, masks = _tally(C, level, i, tally)
         nxt = _checked_children(C, level, pair, masks) if i < max_order else None
-        if history is not None and nxt is not None:
-            expected = _reference_level(C, level, i + 1, history)
-            if len(expected) != len(nxt) or expected != set(map(tuple, nxt.tolist())):
-                raise RuntimeError(f"level {i + 1} differs from its full-history reference")
-            history.update(dict.fromkeys(expected, i + 1))
+        if reference is not None and nxt is not None:
+            rows = set(map(tuple, nxt.tolist()))
+            if len(rows) != len(nxt) or rows != set(next(reference)):
+                raise RuntimeError(f"level {i + 1} differs from the orbit oracle")
         if i >= first:
             _check_levels(tally, i, i, C.rank)
             yield i, level, nxt
@@ -580,7 +596,9 @@ def enumerate_levels(
     not built.  The edge-count invariant and the growth bound are checked for
     every level, the counted one included, once the walk ends.
     ``full_history_dedup`` builds every level breadth-first instead
-    (:func:`_levels`) and rebuilds each one by deduplicating all reflections.
+    (:func:`_levels`) and checks each one, as a set, against the level of
+    the orbit oracle (:func:`_orbit_levels`), which deduplicates against
+    every earlier level; a mismatch raises RuntimeError.
 
     A checkpoint file, when given, is rewritten after every finished level
     and picked up transparently on the next call; a file written for a
@@ -618,7 +636,8 @@ def enumerate_levels(
     rest = [(first - 1, level)]  # what is left to count depth-first
     if full_history_dedup or (ckpt is not None and _fits(C, level)):
         rest = []
-        for i, level, nxt in _levels(C, level, first, max_order, tally, full_history_dedup):
+        reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
+        for i, level, nxt in _levels(C, level, first, max_order, tally, reference):
             coeffs.append(len(level))
             if ckpt is not None:
                 LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
@@ -646,7 +665,8 @@ def level_sets(
     Returns one (n, rank) array of lexicographically sorted rows per level,
     starting with the zero vector at level 0, from the breadth-first
     traversal that :func:`enumerate_levels` checkpoints.  Stops early at the
-    first empty level.
+    first empty level.  ``full_history_dedup`` checks every level, as a set,
+    against the orbit oracle, as in :func:`enumerate_levels`.
 
     Every level is held whole.  Before a level is built from the one before
     it, the step must fit the memory budget (half the physical memory);
@@ -660,7 +680,8 @@ def level_sets(
     zero = np.zeros((1, gcm.rank), dtype=np.int64)
     tally: list = []
     levels = [zero]
-    for i, level, nxt in _levels(C, zero, 1, max_order, tally, full_history_dedup):
+    reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
+    for i, level, nxt in _levels(C, zero, 1, max_order, tally, reference):
         levels.append(level[np.lexsort(level.T[::-1])])
         # Level i + 1 is built; the next step builds level i + 2 from it.
         if i + 1 < max_order and not _fits(C, nxt):
@@ -670,38 +691,17 @@ def level_sets(
 
 
 def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name: str = "") -> GrowthSeries:
-    """Independent growth computation: BFS over the orbit of rho.
+    """Independent growth computation: the level sizes of :func:`_orbit_levels`.
 
-    States are weight-basis coordinate tuples starting from all ones;
-    reflection mu subtracts coordinate mu times column mu of the Cartan
-    matrix.  Deduplication is against the full set of visited states, so
-    this shares neither representation nor dedup logic with
-    :func:`enumerate_levels`.  Python integers keep it exact at any size;
-    intended for small ranks and orders.
+    A breadth-first search over the orbit of rho in weight coordinates,
+    deduplicated against every state visited, so it shares neither
+    representation nor dedup logic with :func:`enumerate_levels`.  It raises
+    RuntimeError when a reflection lands anywhere but the next level or two
+    levels back.  Python integers keep it exact at any size; intended for
+    small ranks and orders.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    rank = gcm.rank
-    columns = [tuple(gcm.entries[nu][mu] for nu in range(rank)) for mu in range(rank)]
-    start = (1,) * rank
-    seen = {start}
-    frontier = [start]
-    coeffs = [1]
-    complete = False
-    for _ in range(max_order):
-        nxt = []
-        for state in frontier:
-            for mu in range(rank):
-                c = state[mu]
-                if c == 0:  # reflection fixes this state
-                    continue
-                image = tuple(s - c * a for s, a in zip(state, columns[mu]))
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        if not nxt:
-            complete = True
-            break
-        coeffs.append(len(nxt))
-        frontier = nxt
-    return GrowthSeries(tuple(coeffs), complete, algebra_name)
+    coeffs = [1, *map(len, _orbit_levels(gcm, max_order))]
+    complete = not coeffs[-1]  # an empty level ended the search
+    return GrowthSeries(tuple(coeffs[:-1] if complete else coeffs), complete, algebra_name)

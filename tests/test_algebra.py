@@ -64,6 +64,9 @@ def test_validate_rejects_positive_off_diagonal():
 def test_validate_rejects_non_integer():
     with pytest.raises(CartanMatrixError, match="not an integer"):
         validate_gcm([[2, -0.5], [-2, 2]])
+    # bool is an int subclass, but a JSON false is not a matrix entry.
+    with pytest.raises(CartanMatrixError, match="not an integer: False"):
+        validate_gcm([[2, False], [False, 2]])
 
 
 def test_validate_label_mismatch():
@@ -276,6 +279,13 @@ def test_gcm_json_round_trip():
 def test_gcm_json_requires_matrix_key():
     with pytest.raises(ValueError, match="matrix"):
         gcm_from_json('{"labels": ["0"]}')
+
+
+def test_gcm_json_requires_a_labels_array():
+    # A string would otherwise be split into one label per character.
+    with pytest.raises(ValueError, match="labels"):
+        gcm_from_json('{"labels": "ab", "matrix": [[2, 0], [0, 2]]}')
+    assert gcm_from_json('{"labels": null, "matrix": [[2]]}').labels == ("0",)
 
 
 def test_load_gcm_file(tmp_path):

@@ -88,9 +88,13 @@ def test_growth_from_gcm_file(capsys, tmp_path):
 
 def test_growth_bad_gcm_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"labels": ["0"], "matrix": [[3]]}))
-    code, _ = run(capsys, ["growth", "--gcm-file", str(path), "--order", "2"])
-    assert code == 2
+    # A bad diagonal, a JSON boolean entry, and labels that are not an array.
+    for payload in ({"labels": ["0"], "matrix": [[3]]},
+                    {"matrix": [[2, False], [False, 2]]},
+                    {"labels": "ab", "matrix": [[2, 0], [0, 2]]}):
+        path.write_text(json.dumps(payload))
+        code, out = run(capsys, ["growth", "--gcm-file", str(path), "--order", "2"])
+        assert code == 2 and out == ""
     code, _ = run(capsys, ["growth", "--gcm-file", str(tmp_path / "missing.json"), "--order", "2"])
     assert code == 2
 

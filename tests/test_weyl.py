@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from weylgrowth import weyl
 from weylgrowth import (
     CheckpointMismatchError,
+    GeneralizedCartanMatrix,
     LevelTooLargeError,
     build_catalog,
     enumerate_levels,
@@ -124,13 +125,30 @@ def test_worker_counts_agree():
     assert enumerate_levels(gcm, 10, workers=1) == enumerate_levels(gcm, 10, workers=4)
 
 
-def test_full_history_dedup_matches_windowed():
+def test_full_history_check_keeps_the_counts():
     for name in ("HA2", "AffA2", "D4"):
         gcm = build_catalog(name).gcm
         assert (
             enumerate_levels(gcm, 10, full_history_dedup=True).coeffs
             == enumerate_levels(gcm, 10).coeffs
         )
+
+
+def test_full_history_check_catches_a_repeated_row(monkeypatch):
+    # A _children that repeats a row gives a level one row longer than the
+    # orbit oracle's, and the cross-check must say so at level 1.
+    children = weyl._children
+
+    def repeat_first(*args, **kwargs):
+        rows = children(*args, **kwargs)
+        return np.concatenate([rows[:1], rows])
+
+    monkeypatch.setattr(weyl, "_children", repeat_first)
+    gcm = build_catalog("HA2").gcm
+    with pytest.raises(RuntimeError, match="level 1 differs from the orbit oracle"):
+        enumerate_levels(gcm, 8, full_history_dedup=True)
+    with pytest.raises(RuntimeError, match="level 1 differs from the orbit oracle"):
+        level_sets(gcm, 8, full_history_dedup=True)
 
 
 def test_chunk_size_and_workers_keep_checkpoint_rows(monkeypatch, tmp_path):
@@ -324,7 +342,7 @@ def small_gcm(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(small_gcm())
-def test_enumerator_oracle_and_reference_agree(gcm):
+def test_enumerator_and_orbit_oracle_agree(gcm):
     # Most drawn matrices are not symmetric, so the orientation of A in the
     # canonical-parent rule (rows pair, columns move) matters here.
     series = enumerate_levels(gcm, 8)
@@ -396,6 +414,14 @@ def test_oracle_a3():
 def test_oracle_rank_one():
     series = weyl_orbit_oracle(build_catalog("A1").gcm, 5)
     assert series.coeffs == (1, 1) and series.complete
+
+
+def test_oracle_rejects_a_reflection_off_the_adjacent_levels():
+    # Not a Cartan matrix, and built without validate_gcm: one reflection
+    # fixes a state of level 1, so its image is found one level back.
+    gcm = GeneralizedCartanMatrix(((-2, -2), (1, 1)), ("0", "1"))
+    with pytest.raises(RuntimeError, match="reflection for level 2 already in level 1"):
+        weyl_orbit_oracle(gcm, 8)
 
 
 def test_oracle_ha3_prefix():
