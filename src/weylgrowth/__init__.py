@@ -20,6 +20,7 @@ from .algebra import (
     gcm_from_json,
     invariant_degrees,
     invert_cartan,
+    is_finite_type,
     load_gcm_file,
     validate_gcm,
     weyl_group_order,
@@ -86,6 +87,7 @@ __all__ = [
     "gcm_from_json",
     "invariant_degrees",
     "invert_cartan",
+    "is_finite_type",
     "level_sets",
     "load_gcm_file",
     "polynomial_from_json_dict",

@@ -25,6 +25,7 @@ __all__ = [
     "validate_gcm",
     "build_catalog",
     "invert_cartan",
+    "is_finite_type",
     "fundamental_weights",
     "invariant_degrees",
     "weyl_group_order",
@@ -294,6 +295,48 @@ def invert_cartan(gcm: GeneralizedCartanMatrix) -> tuple[tuple[Fraction, ...], .
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
+    """Whether the Weyl group of ``gcm`` is finite, decided exactly.
+
+    The Weyl group is the product of those of the connected components,
+    and a component's is finite exactly when its matrix is symmetrisable,
+    with d_i * a_ij = d_j * a_ji for some positive d, and the symmetrised
+    matrix (d_i * a_ij) is positive definite (Kac, *Infinite dimensional
+    Lie algebras*, Prop. 4.9).  The d_i are found one connected
+    component at a time, starting from 1 at the first node of each, and
+    every bond is checked against them.  Sylvester's criterion then asks
+    that every leading principal minor be positive; those minors are the
+    running products of the pivots of Gaussian elimination without row
+    exchanges, so all pivots must be positive.  ``Fraction``s keep every
+    step exact.
+    """
+    a = gcm.entries
+    n = gcm.rank
+    d: list = [None] * n
+    for root in range(n):
+        if d[root] is not None:
+            continue
+        d[root] = Fraction(1)
+        todo = [root]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if a[i][j] and d[j] is None:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+                    todo.append(j)
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(i)):
+        return False
+    b = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        if b[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = b[i][k] / b[k][k]
+            if f:
+                b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    return True
 
 
 def fundamental_weights(gcm: GeneralizedCartanMatrix) -> tuple[tuple[Fraction, ...], ...]:

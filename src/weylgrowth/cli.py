@@ -71,8 +71,9 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="also check every level, as a set, against an independent breadth-first search "
-                        "over the orbit of rho that deduplicates against every earlier level")
+                   help="count the whole group breadth-first instead of a parabolic quotient, and check "
+                        "every level, as a set, against an independent breadth-first search over the "
+                        "orbit of rho that deduplicates against every earlier level")
 
 
 def _build_parser() -> argparse.ArgumentParser:

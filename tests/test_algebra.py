@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weylgrowth import (
     CartanMatrixError,
@@ -16,6 +16,7 @@ from weylgrowth import (
     gcm_from_json,
     invariant_degrees,
     invert_cartan,
+    is_finite_type,
     load_gcm_file,
     validate_gcm,
     weyl_group_order,
@@ -266,6 +267,49 @@ def test_degree_product_matches_enumeration(name):
     series = enumerate_levels(desc.gcm, 40)
     assert series.complete
     assert series.total == weyl_group_order(desc)
+
+
+# ------------------------------------------------------------- finite type
+
+def test_finite_type_holds_for_every_catalogue_finite_type():
+    names = [f"{family}{n}" for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+             for n in range(lo, 9)]
+    for name in names + ["E6", "E7", "E8", "F4", "G2"]:
+        assert is_finite_type(build_catalog(name).gcm), name
+
+
+def test_finite_type_fails_for_affine_and_hyperbolic_types():
+    for name in [f"AffA{n}" for n in range(1, 8)] + [f"HA{n}" for n in range(2, 7)]:
+        assert not is_finite_type(build_catalog(name).gcm), name
+
+
+def test_finite_type_fails_for_a_matrix_that_is_not_symmetrisable():
+    # a01 * a12 * a20 = -1 but a10 * a21 * a02 = -2: no d_i make d_i a_ij
+    # symmetric around the cycle.
+    gcm = validate_gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    assert not is_finite_type(gcm)
+    assert not enumerate_levels(gcm, 12, full_history_dedup=True).complete
+
+
+@st.composite
+def rank_three_gcm(draw):
+    n = draw(st.integers(1, 3))
+    m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    bonds = st.sampled_from((-1, -2, -3, -4))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                m[i][j], m[j][i] = draw(bonds), draw(bonds)
+    return validate_gcm(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank_three_gcm())
+def test_finite_type_agrees_with_a_whole_group_count(gcm):
+    # A finite Weyl group of rank at most 3 has a longest element of
+    # length at most 9 (B3, C3), so the count of the whole group, J empty,
+    # ends by order 10 exactly when the group is finite.
+    assert is_finite_type(gcm) == enumerate_levels(gcm, 10, full_history_dedup=True).complete
 
 
 # ---------------------------------------------------------------- file I/O

@@ -105,7 +105,9 @@ def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    assert captured.err.startswith("error: level 1: 4 up-edges lead in, 3 left descents")
+    # The first walk counts A1, at the bottom of the recursion over
+    # parabolic subgroups; its one up-edge leads to no child.
+    assert captured.err.startswith("error: level 1: 1 up-edges lead in, 0 left descents")
 
 
 def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
@@ -115,7 +117,10 @@ def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    assert captured.err.startswith("error: level 3: 28 up-edges lead in, 27 left descents")
+    # The first count of a last level is that of the quotient of A1 x A2,
+    # the first finite parabolic subgroup of HA2, by A1 x A1: its level 3
+    # is empty, and the counter reports -1 elements and -1 left descents.
+    assert captured.err.startswith("error: level 3: 0 up-edges lead in, -1 left descents")
 
 
 # -------------------------------------------------------------- checkpoints

@@ -12,8 +12,10 @@ from weylgrowth import (
     LevelTooLargeError,
     build_catalog,
     enumerate_levels,
+    finite_poincare,
     gamma_reflect,
     gcm_digest,
+    invariant_degrees,
     level_sets,
     validate_gcm,
     weyl_group_order,
@@ -167,6 +169,16 @@ def test_chunk_size_and_workers_keep_checkpoint_rows(monkeypatch, tmp_path):
         assert state.level_index == 6
         rows.append(state.level)
     assert all(np.array_equal(rows[0], other) for other in rows[1:])
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_whole_exceptional_groups_match_their_poincare_polynomials(name):
+    # The count walks the quotient by E6 (E7) or E7 (E8), and W_J(t) comes
+    # from the quotients below it, down to A1.
+    desc = build_catalog(name)
+    series = enumerate_levels(desc.gcm, 130)
+    assert series.complete
+    assert series.coeffs == finite_poincare(invariant_degrees(desc)).coeffs
 
 
 def test_e7_whole_group():
@@ -344,10 +356,32 @@ def small_gcm(draw):
 @given(small_gcm())
 def test_enumerator_and_orbit_oracle_agree(gcm):
     # Most drawn matrices are not symmetric, so the orientation of A in the
-    # canonical-parent rule (rows pair, columns move) matters here.
-    series = enumerate_levels(gcm, 8)
-    assert weyl_orbit_oracle(gcm, 8) == series
-    assert enumerate_levels(gcm, 8, full_history_dedup=True) == series
+    # canonical-parent rule (rows pair, columns move) matters here.  A count
+    # walks the quotient W^J by the W_J that _parabolic picks.  Its levels,
+    # built breadth-first, must be those of the orbit of lambda, and its
+    # depth-first count their sizes.  Its series times W_J(t) must be the
+    # count of the whole group (J empty), which the full-history check ties
+    # to the orbit of rho, and the oracle's count.  W_J, counted whole on
+    # its own, must end.
+    order = 8
+    lam, factor = weyl._parabolic(gcm, order)
+    C = weyl._Cartan(gcm.entries, lam)
+    zero = np.zeros((1, gcm.rank), dtype=np.int64)
+    reference = weyl._orbit_levels(gcm, order, lam)
+    sizes = [1] + [len(level) for _, level, _ in weyl._levels(C, zero, 1, order, [], reference)]
+    tally = []
+    weyl._count(C, [(0, zero)], order, tally)
+    assert [count for count, _, _ in tally] == sizes
+    whole = enumerate_levels(gcm, order, full_history_dedup=True)
+    assert enumerate_levels(gcm, order) == whole
+    assert weyl_orbit_oracle(gcm, order) == whole
+    if factor.degree > 0:
+        # Of rank 3 at most, so its longest element has length 9 at most.
+        sub = gcm.delete_node(gcm.labels[lam.index(1)])
+        sub_series = enumerate_levels(sub, 10, full_history_dedup=True)
+        assert sub_series.complete and sub_series.coeffs[:order + 1] == factor.coeffs
+    else:
+        assert lam == (1,) * gcm.rank
 
 
 def test_deep_run_overflow_is_detected():
@@ -417,10 +451,10 @@ def test_oracle_rank_one():
 
 
 def test_oracle_rejects_a_reflection_off_the_adjacent_levels():
-    # Not a Cartan matrix, and built without validate_gcm: one reflection
-    # fixes a state of level 1, so its image is found one level back.
+    # Not a Cartan matrix, and built without validate_gcm: a reflection of
+    # a state of level 3 gives the state of level 1.
     gcm = GeneralizedCartanMatrix(((-2, -2), (1, 1)), ("0", "1"))
-    with pytest.raises(RuntimeError, match="reflection for level 2 already in level 1"):
+    with pytest.raises(RuntimeError, match="reflection for level 4 already in level 1"):
         weyl_orbit_oracle(gcm, 8)
 
 
