@@ -68,7 +68,8 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
     group.add_argument("--algebra", help="catalog name, e.g. A3, D5, AffA2, HA3")
     group.add_argument("--gcm-file", help='JSON file {"labels": [...], "matrix": [[...]]}')
     p.add_argument("--order", type=_nonneg_int, required=True, help="growth series order")
-    p.add_argument("--checkpoint", help=f"level checkpoint file (relative paths resolve under ${CHECKPOINT_DIR_ENV})")
+    p.add_argument("--checkpoint", help="file that holds the state of the depth-first count, to resume it "
+                                        f"(relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
                    help="count the whole group breadth-first instead of a parabolic quotient, and check "

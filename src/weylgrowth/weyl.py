@@ -17,9 +17,9 @@ lambda_nu - pair[nu], mu is a left descent when pair[mu] > lambda_mu, and
 c = 0 is a move inside the coset, which is neither up nor down.  J = S less
 one node, with W_J finite and as large as it can be; W_J(t) is counted the
 same way on the submatrix of J, recursively, and when no such W_J is
-finite, J is empty and lambda is rho.  Only the count without a checkpoint
-or cross-check walks a quotient; checkpoints, :func:`level_sets` and the
-full-history cross-check walk the whole group, through the same kernels.
+finite, J is empty and lambda is rho.  Every count walks a quotient, with
+or without a checkpoint; :func:`level_sets` and the full-history
+cross-check walk the whole group, through the same kernels.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -30,7 +30,8 @@ sizes are the growth coefficients.
 The tree has two traversals, one function each: :func:`_count` walks it
 depth-first with a stack of chunks of bounded size when only the counts
 are wanted, so no level is ever held whole, and :func:`_levels` builds it
-breadth-first, one whole level at a time, for level sets and checkpoints.
+breadth-first, one whole level at a time, for level sets, the cross-check
+and the small base level from which a checkpointed walk starts.
 Both pair and tally each chunk or level with :func:`_tally` and build
 children through the checks of :func:`_checked_children`.  Coordinates are
 stored as checked 64-bit integers.
@@ -56,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +79,7 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -86,6 +88,10 @@ _SAFE_BITS = 62
 # Rows per chunk of the depth-first walk.  The walk holds at most one
 # chunk's children per level, so this and the order bound its memory.
 _CHUNK_ROWS = 1 << 14
+
+# A checkpointed walk saves its state at most once per this many seconds,
+# and once more when it ends.
+_SAVE_EVERY_S = 60.0
 
 # Arrays the size of the next level that a breadth-first step holds at once:
 # the children, and less than as much again for the parents, their
@@ -367,7 +373,7 @@ def _checked_children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, masks: 
     return children
 
 
-def _count(C: _Cartan, stack: list, max_order: int, tally: list) -> None:
+def _count(C: _Cartan, stack: list, max_order: int, tally: list, hook=None) -> None:
     """Count the canonical-parent tree below the (level index, rows) chunks
     on ``stack`` depth-first, into ``tally`` (:func:`_tally`).
 
@@ -394,6 +400,10 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list) -> None:
     and its pairings go into ``pairings``.  Fresh megabyte arrays per chunk
     would have the allocator hand memory back to the system and fault it in
     again chunk after chunk, a cost that swings with host load.
+
+    ``hook``, when given, is called as hook(stack, tally) after every chunk.
+    Every row is then either counted in ``tally`` or waiting on ``stack``,
+    so the two are a state the walk can resume from.
     """
     parents = np.empty((_CHUNK_ROWS, C.rank), dtype=np.int64)
     pairings = np.empty((C.rank, _CHUNK_ROWS), dtype=np.int64)
@@ -425,6 +435,8 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list) -> None:
                 used += len(children)
             if len(children):
                 stack.append((i + 1, children))
+        if hook is not None:
+            hook(stack, tally)
 
 
 def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
@@ -492,10 +504,11 @@ def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: li
 
     Level i + 1 is built whole before level i is checked, and added to
     ``tally`` in the next step.  It is empty when the group ends at level i,
-    and None for i = max_order, the last level yielded.  ``reference``, when
-    given, iterates over the levels first.. of :func:`_orbit_levels`; every
-    level built, the empty one that ends a finite group included, must equal
-    the oracle's as a set of rows.
+    and is then checked before level i is yielded, since no step follows to
+    check it; it is None for i = max_order, the last level yielded.
+    ``reference``, when given, iterates over the levels first.. of
+    :func:`_orbit_levels`; every level built, the empty one that ends a
+    finite group included, must equal the oracle's as a set of rows.
     """
     for i in range(first - 1, max_order + 1):
         pair, masks = _tally(C, level, i, tally)
@@ -504,10 +517,11 @@ def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: li
             rows = set(map(tuple, nxt.tolist()))
             if len(rows) != len(nxt) or rows != set(next(reference)):
                 raise RuntimeError(f"level {i + 1} differs from the orbit oracle")
+        ended = nxt is not None and not len(nxt)
+        _check_levels(tally, max(i, first), i + ended, C.rank)
         if i >= first:
-            _check_levels(tally, i, i, C.rank)
             yield i, level, nxt
-        if nxt is None or not len(nxt):
+        if nxt is None or ended:
             return
         level = nxt
 
@@ -531,34 +545,71 @@ def _fits(C: _Cartan, level: np.ndarray) -> bool:
     return _step_bytes(C, level) <= _memory_budget()
 
 
+def _base(C: _Cartan, max_order: int) -> tuple[int, np.ndarray, list]:
+    """The level b from which a checkpointed walk starts, its rows, and the
+    tally of levels 0..b - 1.
+
+    Levels are built breadth-first by :func:`_levels`, which checks each
+    one.  The base is the first level whose successor has more than
+    _CHUNK_ROWS rows, the last one before an empty level, or level
+    max_order - 1, whichever comes first (level 0 at order 0), so it and
+    every level below it fit one chunk.  Its successor, built on the way,
+    is dropped: the walk builds it again, in chunks, and checks it.
+    """
+    zero = np.zeros((1, C.rank), dtype=np.int64)
+    tally: list = []
+    b, base = 0, zero
+    for i, level, nxt in _levels(C, zero, 1, max_order, tally):
+        if i == max_order or len(level) > _CHUNK_ROWS:
+            break
+        b, base = i, level
+        if len(nxt) > _CHUNK_ROWS:
+            break
+    return b, base, tally[:b]
+
+
 @dataclass(frozen=True)
 class LevelCheckpoint:
-    """Resumable state after finishing a level: its rows and the counts so far.
+    """Resumable state of a checkpointed count: its depth-first walk of W^J.
 
-    That is all the enumerator needs to continue.  A level is the atomic
-    unit; there is no mid-level resume.  :meth:`load` rejects a file whose
-    counts, rows and algebra do not fit together, or whose counts do not
-    match the :attr:`content_digest` stored with them.
+    ``lam`` is the lambda of the walk (:func:`_parabolic`) and ``order`` the
+    order it counts to.  ``base`` holds the rows of level ``base_index`` of
+    W^J, built breadth-first when the walk started (:func:`_base`), and
+    ``tally`` the count, up-edges and left descents of each level so far
+    (:func:`_tally`), one row per level; the levels below the base are
+    complete.  ``chunks`` gives the level and the row count of each chunk
+    still waiting on the walk's stack, bottom first, and ``waiting`` their
+    rows in that order.  ``complete`` is True once the walk has ended, when
+    nothing waits.  :meth:`load` rejects a file whose parts do not fit
+    together, or do not match the :attr:`content_digest` stored with them.
     """
 
     algebra_digest: str
-    level_index: int
-    level: np.ndarray
-    coeffs: tuple[int, ...]
+    lam: tuple[int, ...]
+    order: int
+    base_index: int
+    base: np.ndarray
+    tally: np.ndarray
+    chunks: np.ndarray
+    waiting: np.ndarray
     complete: bool
     version: int = CHECKPOINT_VERSION
 
     @property
     def content_digest(self) -> str:
-        """sha256 over the algebra digest, level index, complete flag and counts.
-
-        The rows are not hashed: the zip CRC-32 catches their corruption, and
-        :meth:`load` checks them against the counts.
-        """
-        fields = np.asarray([self.level_index, self.complete, *self.coeffs], dtype="<i8")
-        return hashlib.sha256(self.algebra_digest.encode() + fields.tobytes()).hexdigest()
+        """sha256 over the algebra digest, lambda, order, base index,
+        complete flag, tally, base rows, waiting chunks and waiting rows."""
+        arrays = (self.tally, self.base, self.chunks, self.waiting)
+        header = [self.order, self.base_index, self.complete, *self.lam,
+                  *(n for a in arrays for n in a.shape)]
+        digest = hashlib.sha256(self.algebra_digest.encode())
+        for a in (np.asarray(header), *arrays):
+            digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+        return digest.hexdigest()
 
     def save(self, path) -> None:
+        """Write the state to a temporary file, sync it to disk and rename
+        it over ``path``."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
         with open(tmp, "wb") as fh:
@@ -566,9 +617,13 @@ class LevelCheckpoint:
                 fh,
                 version=np.int64(self.version),
                 algebra_digest=np.str_(self.algebra_digest),
-                level_index=np.int64(self.level_index),
-                level=self.level,
-                coeffs=np.asarray(self.coeffs, dtype=np.int64),
+                lam=np.asarray(self.lam, dtype=np.int64),
+                order=np.int64(self.order),
+                base_index=np.int64(self.base_index),
+                base=self.base,
+                tally=self.tally,
+                chunks=self.chunks,
+                waiting=self.waiting,
                 complete=np.bool_(self.complete),
                 content_digest=np.str_(self.content_digest),
             )
@@ -587,40 +642,94 @@ class LevelCheckpoint:
                                                   f"expected {CHECKPOINT_VERSION}")
                 state = LevelCheckpoint(
                     algebra_digest=str(data["algebra_digest"]),
-                    level_index=int(data["level_index"]),
-                    level=data["level"].astype(np.int64),
-                    coeffs=tuple(int(c) for c in data["coeffs"]),
+                    lam=tuple(int(x) for x in data["lam"]),
+                    order=int(data["order"]),
+                    base_index=int(data["base_index"]),
+                    base=data["base"].astype(np.int64),
+                    tally=data["tally"].astype(np.int64),
+                    chunks=data["chunks"].astype(np.int64),
+                    waiting=data["waiting"].astype(np.int64),
                     complete=bool(data["complete"]),
                     version=version,
                 )
                 digest = str(data["content_digest"])
         except CheckpointMismatchError:
             raise
-        except (KeyError, ValueError, OSError, zipfile.BadZipFile) as exc:
+        except (KeyError, TypeError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
         if state.algebra_digest != gcm_digest(gcm):
             raise CheckpointMismatchError("checkpoint belongs to a different algebra")
-        problem = state._inconsistency(gcm.rank, digest)
+        problem = state._inconsistency(gcm, digest)
         if problem:
             raise CheckpointMismatchError(f"inconsistent checkpoint {path}: {problem}")
         return state
 
-    def _inconsistency(self, rank: int, digest: str) -> str:
-        level, coeffs = self.level, self.coeffs
-        if self.level_index < 0 or len(coeffs) != self.level_index + 1:
-            return f"{len(coeffs)} coefficients for level {self.level_index}"
-        if level.ndim != 2 or level.shape[1] != rank:
-            return f"level rows have shape {level.shape}, expected width {rank}"
-        if len(level) != coeffs[-1]:
-            return f"level {self.level_index} has {len(level)} rows but count {coeffs[-1]}"
-        if level.size and int(level.min()) < 0:
-            return "negative coordinate"
-        ordered = level[np.lexsort(level.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            return "repeated row"
+    def _inconsistency(self, gcm: GeneralizedCartanMatrix, digest: str) -> str:
+        rank, lam, b, order = gcm.rank, self.lam, self.base_index, self.order
+        tally, base, chunks, waiting = self.tally, self.base, self.chunks, self.waiting
+        if len(lam) != rank or not set(lam) <= {0, 1} or sum(lam) not in (1, rank):
+            return f"lambda {lam} is neither rho nor a fundamental weight of rank {rank}"
+        if sum(lam) < rank and not is_finite_type(gcm.delete_node(gcm.labels[lam.index(1)])):
+            return f"lambda {lam} leaves out a W_J that is not finite"
+        if not 0 <= b <= order:
+            return f"base level {b} outside the walk to order {order}"
+        if tally.ndim != 2 or tally.shape[1] != 3 or not b < len(tally) <= order + 1:
+            return f"tally of shape {tally.shape} for base level {b} and order {order}"
+        if (tally < 0).any():
+            return "negative count"
+        for name, rows in (("base", base), ("waiting", waiting)):
+            if rows.ndim != 2 or rows.shape[1] != rank:
+                return f"{name} rows have shape {rows.shape}, expected width {rank}"
+            if rows.size and int(rows.min()) < 0:
+                return f"negative coordinate among the {name} rows"
+            ordered = rows[np.lexsort(rows.T)]
+            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+                return f"repeated {name} row"
+        if (chunks.ndim != 2 or chunks.shape[1] != 2 or (chunks[:, 1] < 1).any()
+                or int(chunks[:, 1].sum()) != len(waiting)):
+            return f"waiting chunks of shape {chunks.shape} do not cover {len(waiting)} waiting rows"
+        # The rest of the base waits at level b; deeper chunks wait below max_order.
+        levels = chunks[:, 0]
+        if ((levels < b) | (levels >= max(order, b + 1))).any():
+            return f"a chunk waits at a level outside {b}..{order - 1}"
+        if self.complete == bool(len(chunks)):
+            return "the complete flag does not match the waiting chunks"
+        at_base = int(tally[b, 0]) + int(chunks[levels == b, 1].sum())
+        if at_base != len(base):
+            return f"base level {b} has {len(base)} rows but count {at_base}"
+        try:  # the levels below the base, and every level of a finished walk
+            _check_levels(tally.tolist(), 1, min(order, len(tally)) if self.complete else b - 1, rank)
+        except RuntimeError as exc:
+            return str(exc)
         if digest != self.content_digest:
-            return "counts do not match their digest"
+            return "contents do not match their digest"
         return ""
+
+
+class _Saver:
+    """The hook through which :func:`_count` saves a checkpointed walk to
+    ``path``: at most once per _SAVE_EVERY_S seconds, and by :meth:`save`
+    when the walk ends.  ``fixed`` holds the fields of
+    :class:`LevelCheckpoint` up to the base rows."""
+
+    def __init__(self, path, fixed: tuple):
+        self.path, self.fixed = path, fixed
+        self.last = time.monotonic()
+
+    def __call__(self, stack: list, tally: list) -> None:
+        if time.monotonic() - self.last >= _SAVE_EVERY_S:
+            self.save(stack, tally)
+
+    def save(self, stack: list, tally: list) -> None:
+        base = self.fixed[-1]
+        LevelCheckpoint(
+            *self.fixed,
+            tally=np.asarray(tally, dtype=np.int64).reshape(-1, 3),
+            chunks=np.asarray([(i, len(rows)) for i, rows in stack], dtype=np.int64).reshape(-1, 2),
+            waiting=np.concatenate([rows for _, rows in stack] or [base[:0]]),
+            complete=not stack,
+        ).save(self.path)
+        self.last = time.monotonic()
 
 
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
@@ -651,7 +760,43 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
     return tuple(int(mu == k) for mu in range(rank)), factors[k]
 
 
-def _growth(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[int, ...]:
+def _factor(gcm: GeneralizedCartanMatrix, lam, max_order: int) -> IntPolynomial:
+    """W_J(t) through max_order, for J the nodes where ``lam`` is 0."""
+    if all(lam):
+        return IntPolynomial((1,))
+    return IntPolynomial(_growth(gcm.delete_node(gcm.labels[lam.index(1)]), max_order))
+
+
+def _start(C: _Cartan, gcm: GeneralizedCartanMatrix, max_order: int, path,
+           stored) -> tuple[list, list, _Saver | None]:
+    """The tally, stack and hook with which a checkpointed walk of the orbit
+    of ``C.lam`` starts, given the checkpoint ``stored`` in ``path`` (None
+    when there is no file).
+
+    A finished walk that covers max_order, or that ended early, answers
+    with its tally and nothing to walk, and so does any walk when max_order
+    is below its base.  An unfinished walk to max_order resumes its stack.
+    Otherwise the walk starts from the stored base, or from a new one
+    (:func:`_base`) when there is no file.
+    """
+    if stored is None:
+        b, base, tally = _base(C, max_order)
+        stack = [(b, base)]
+    elif stored.complete and (max_order <= stored.order or len(stored.tally) <= stored.order):
+        return stored.tally.tolist(), [], None
+    elif max_order < stored.base_index:
+        return stored.tally[:max_order + 1].tolist(), [], None
+    else:
+        b, base = stored.base_index, stored.base
+        tally, stack = stored.tally[:b].tolist(), [(b, base)]
+        if not stored.complete and max_order == stored.order:
+            tally = stored.tally.tolist()
+            rows = np.split(stored.waiting, np.cumsum(stored.chunks[:-1, 1]))
+            stack = [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows)]
+    return tally, stack, _Saver(path, (gcm_digest(gcm), tuple(C.lam), max_order, b, base))
+
+
+def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tuple[int, ...]:
     """The growth coefficients of W through max_order, without the zeros
     past a finite group's last level.
 
@@ -662,12 +807,27 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[int, ...]:
     depth-first, and the tally's levels are checked as for the whole group.
     Both factors hold levels 0..max_order, or fewer where the group ends
     first, so their product is exact through max_order.
+
+    With a ``checkpoint`` path the walk is saved there and picked up from
+    it (:func:`_start`).  A stored walk keeps its lambda, and W_J(t) is
+    counted anew through max_order: the identity holds for every J, so the
+    lambda that :func:`_parabolic` would pick now does not matter.
     """
-    lam, factor = _parabolic(gcm, max_order)
+    stored = None
+    if checkpoint is not None and Path(checkpoint).exists():
+        stored = LevelCheckpoint.load(checkpoint, gcm)
+    if stored is None:
+        lam, factor = _parabolic(gcm, max_order)
+    else:
+        lam, factor = stored.lam, _factor(gcm, stored.lam, max_order)
     C = _Cartan(gcm.entries, lam)
-    tally: list = []
-    _count(C, [(0, np.zeros((1, gcm.rank), dtype=np.int64))], max_order, tally)
+    tally, stack, saver = [], [(0, np.zeros((1, gcm.rank), dtype=np.int64))], None
+    if checkpoint is not None:
+        tally, stack, saver = _start(C, gcm, max_order, checkpoint, stored)
+    _count(C, stack, max_order, tally, saver)
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
+    if saver is not None:
+        saver.save(stack, tally)  # the walk has ended
     quotient = IntPolynomial(tuple(count for count, _, _ in tally))
     return (quotient * factor).coeffs[:max_order + 1]
 
@@ -689,30 +849,34 @@ def enumerate_levels(
     group is finite and fully enumerated; the series stops at the last
     nonempty level and is marked complete.
 
-    Without a checkpoint or the cross-check, :func:`_growth` counts the
-    parabolic quotient W^J, the orbit of lambda = sum of omega_i over the
-    nodes i off J, and multiplies its series by W_J(t), which comes from
-    :func:`_growth` on the submatrix of J.  J is all nodes but one, with
-    W_J finite and as large as it can be (:func:`_parabolic`); HA3 to order
-    27 then walks 259,193 cosets of D4 instead of 6,676,006 elements.
-    :func:`_count` walks the canonical-parent tree of W^J depth-first in
-    chunks of at most _CHUNK_ROWS rows, so no level is ever held whole, and
-    level ``max_order`` is counted from its parents' masks, not built.  The
-    edge-count invariant and the growth bound are checked for every level,
-    the counted one included, once the walk ends.
+    :func:`_growth` counts the parabolic quotient W^J, the orbit of lambda
+    = sum of omega_i over the nodes i off J, and multiplies its series by
+    W_J(t), which comes from :func:`_growth` on the submatrix of J.  J is
+    all nodes but one, with W_J finite and as large as it can be
+    (:func:`_parabolic`); HA3 to order 27 then walks 259,193 cosets of D4
+    instead of 6,676,006 elements.  :func:`_count` walks the canonical-parent
+    tree of W^J depth-first in chunks of at most _CHUNK_ROWS rows, so no
+    level is ever held whole, and level ``max_order`` is counted from its
+    parents' masks, not built.  The edge-count invariant and the growth
+    bound are checked for every level, the counted one included, once the
+    walk ends.
 
-    Every other path walks the whole group, J empty and lambda = rho,
-    through the same kernels.  ``full_history_dedup`` builds every level
+    A checkpoint file, when given, holds the state of that walk
+    (:class:`LevelCheckpoint`): the small base level it started from, the
+    tally of every level so far and the chunks still waiting on its stack.
+    It is rewritten at most once per _SAVE_EVERY_S seconds and when the
+    walk ends, and picked up transparently on the next call: an unfinished
+    walk to the same order resumes its stack, a finished one answers any
+    order it covers, and any other order restarts the walk from the stored
+    base.  A file written for a different matrix, or one whose contents do
+    not fit together, raises CheckpointMismatchError.
+
+    ``full_history_dedup`` walks the whole group instead, J empty and
+    lambda = rho, through the same kernels: it builds every level
     breadth-first (:func:`_levels`) and checks each one, as a set, against
     the level of the orbit oracle (:func:`_orbit_levels`), which
     deduplicates against every earlier level; a mismatch raises
-    RuntimeError.  A checkpoint file, when given, is rewritten after every
-    finished level and picked up transparently on the next call; a file
-    written for a different matrix, or one whose contents do not fit
-    together, raises CheckpointMismatchError.  :func:`_levels` builds,
-    checks and saves whole levels while the next one fits the memory
-    budget; from the next level on, :func:`_count` counts the rest
-    depth-first, and the checkpoint stays at the last saved level.
+    RuntimeError.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -720,47 +884,16 @@ def enumerate_levels(
         raise ValueError("workers must be >= 1")
     if full_history_dedup and checkpoint_path is not None:
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
-    if checkpoint_path is None and not full_history_dedup:
-        coeffs = _growth(gcm, max_order)
-        return GrowthSeries(coeffs, len(coeffs) <= max_order, algebra_name)
-
-    C = _Cartan(gcm.entries)
-    digest = gcm_digest(gcm)
-    coeffs = [1]
-    level = np.zeros((1, gcm.rank), dtype=np.int64)
-    first = 1
-
-    ckpt = Path(checkpoint_path) if checkpoint_path is not None else None
-    if ckpt is not None and ckpt.exists():
-        state = LevelCheckpoint.load(ckpt, gcm)
-        if state.complete and max_order >= len(state.coeffs):
-            return GrowthSeries(state.coeffs, True, algebra_name)
-        if max_order <= state.level_index:
-            return GrowthSeries(state.coeffs[: max_order + 1], False, algebra_name)
-        coeffs = list(state.coeffs)
-        level = state.level
-        first = state.level_index + 1
-
-    tally: list = []
-    rest = [(first - 1, level)]  # what is left to count depth-first
-    if full_history_dedup or _fits(C, level):
-        rest = []
-        reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
-        for i, level, nxt in _levels(C, level, first, max_order, tally, reference):
-            coeffs.append(len(level))
-            if ckpt is not None:
-                LevelCheckpoint(digest, i, level, tuple(coeffs), False).save(ckpt)
-                if nxt is not None and not _fits(C, nxt):
-                    rest = [(i + 1, nxt)]
-                    break
-    saved = len(coeffs) - 1
-    _count(C, rest, max_order, tally)
-    _check_levels(tally, first, min(max_order, len(tally)), gcm.rank)
-    coeffs += [count for count, _, _ in tally[len(coeffs):]]
-    complete = len(coeffs) <= max_order  # an empty level ended the run early
-    if complete and ckpt is not None and saved == len(coeffs) - 1:
-        LevelCheckpoint(digest, saved, level, tuple(coeffs), True).save(ckpt)
-    return GrowthSeries(tuple(coeffs), complete, algebra_name)
+    if full_history_dedup:
+        tally: list = []
+        zero = np.zeros((1, gcm.rank), dtype=np.int64)
+        for _ in _levels(_Cartan(gcm.entries), zero, 1, max_order, tally,
+                         _orbit_levels(gcm, max_order)):
+            pass
+        coeffs = tuple(count for count, _, _ in tally)
+    else:
+        coeffs = _growth(gcm, max_order, checkpoint_path)
+    return GrowthSeries(coeffs, len(coeffs) <= max_order, algebra_name)
 
 
 def level_sets(
@@ -769,13 +902,14 @@ def level_sets(
     *,
     full_history_dedup: bool = False,
 ) -> list[np.ndarray]:
-    """The actual level sets, for inspection and property tests.
+    """The actual level sets of the whole group, for inspection and property
+    tests.
 
     Returns one (n, rank) array of lexicographically sorted rows per level,
     starting with the zero vector at level 0, from the breadth-first
-    traversal that :func:`enumerate_levels` checkpoints.  Stops early at the
-    first empty level.  ``full_history_dedup`` checks every level, as a set,
-    against the orbit oracle, as in :func:`enumerate_levels`.
+    traversal of :func:`_levels`, which checks every level.  Stops early at
+    the first empty level.  ``full_history_dedup`` checks every level, as a
+    set, against the orbit oracle, as in :func:`enumerate_levels`.
 
     Every level is held whole.  Before a level is built from the one before
     it, the step must fit the memory budget (half the physical memory);
@@ -787,15 +921,13 @@ def level_sets(
         raise ValueError("max_order must be >= 0")
     C = _Cartan(gcm.entries)
     zero = np.zeros((1, gcm.rank), dtype=np.int64)
-    tally: list = []
     levels = [zero]
     reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
-    for i, level, nxt in _levels(C, zero, 1, max_order, tally, reference):
+    for i, level, nxt in _levels(C, zero, 1, max_order, [], reference):
         levels.append(level[np.lexsort(level.T[::-1])])
         # Level i + 1 is built; the next step builds level i + 2 from it.
         if i + 1 < max_order and not _fits(C, nxt):
             raise LevelTooLargeError(i + 2, _step_bytes(C, nxt), _memory_budget())
-    _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     return levels
 
 

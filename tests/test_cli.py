@@ -145,11 +145,25 @@ def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
     ck = tmp_path / "state.npz"
     run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
     data = dict(np.load(ck, allow_pickle=False))
-    data["coeffs"][-1] += 1
+    data["tally"][-1, 0] += 1
     with open(ck, "wb") as fh:
         np.savez(fh, **data)
     code, out = run(capsys, ["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
     assert code == 4 and out == ""
+
+
+def test_growth_checkpoint_with_a_bad_lambda_exits_4(capsys, tmp_path):
+    # HA2 less its node -1 is affine A2: the stored walk would leave out an
+    # infinite W_J.
+    ck = tmp_path / "state.npz"
+    run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
+    data = dict(np.load(ck, allow_pickle=False))
+    data["lam"] = np.asarray([1, 0, 0, 0])
+    with open(ck, "wb") as fh:
+        np.savez(fh, **data)
+    code = main(["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == "" and "lambda (1, 0, 0, 0)" in captured.err
 
 
 def test_checkpoint_env_dir(capsys, tmp_path, monkeypatch):

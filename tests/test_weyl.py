@@ -1,4 +1,5 @@
 import importlib.util
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -153,24 +154,6 @@ def test_full_history_check_catches_a_repeated_row(monkeypatch):
         level_sets(gcm, 8, full_history_dedup=True)
 
 
-def test_chunk_size_and_workers_keep_checkpoint_rows(monkeypatch, tmp_path):
-    # Neither the chunk size nor the worker count may change the counts or
-    # the rows of the breadth-first level a checkpoint stores.  A budget for
-    # an HA3 step from a level of at most 300 rows saves level 6 (252 rows)
-    # and leaves levels 7 to 9 to the depth-first count.
-    monkeypatch.setattr(weyl, "_memory_budget", lambda: 5 * 300 * 5 * 8 * weyl._WORKING_COPIES)
-    gcm = build_catalog("HA3").gcm
-    rows = []
-    for chunk_rows, workers in ((weyl._CHUNK_ROWS, 1), (7, 1), (7, 3)):
-        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
-        ck = tmp_path / f"c{chunk_rows}w{workers}.npz"
-        assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
-        state = weyl.LevelCheckpoint.load(ck, gcm)
-        assert state.level_index == 6
-        rows.append(state.level)
-    assert all(np.array_equal(rows[0], other) for other in rows[1:])
-
-
 @pytest.mark.parametrize("name", ["E7", "E8"])
 def test_whole_exceptional_groups_match_their_poincare_polynomials(name):
     # The count walks the quotient by E6 (E7) or E7 (E8), and W_J(t) comes
@@ -283,20 +266,6 @@ def test_small_chunks_count_like_whole_levels(monkeypatch, name):
     for chunk_rows in (7, 1):
         monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
         assert enumerate_levels(gcm, 12).coeffs == whole
-
-
-def test_checkpoint_stops_at_the_memory_budget(monkeypatch, tmp_path):
-    # A budget for an HA2 step from a level of at most 100 rows: the walk
-    # saves level 6 (89 rows), builds level 7 (136 rows) whole and counts
-    # the rest below it depth-first.
-    monkeypatch.setattr(weyl, "_memory_budget", lambda: 4 * 100 * 4 * 8 * weyl._WORKING_COPIES)
-    gcm = build_catalog("HA2").gcm
-    ck = tmp_path / "ha2.npz"
-    assert enumerate_levels(gcm, 12, ck).coeffs == HA2_GROWTH_PREFIX[:13]
-    state = weyl.LevelCheckpoint.load(ck, gcm)
-    assert state.level_index == 6 and not state.complete
-    assert state.coeffs == HA2_GROWTH_PREFIX[:7]
-    assert enumerate_levels(gcm, 14, ck).coeffs == HA2_GROWTH_PREFIX
 
 
 @pytest.mark.parametrize("order", [1, 6])
@@ -502,6 +471,160 @@ def test_checkpoint_complete_group(tmp_path):
     assert trimmed.coeffs == first.coeffs and not trimmed.complete
 
 
+FREE3 = ((2, -1, -4), (-4, 2, -1), (-1, -4, 2))  # W = Z2 * Z2 * Z2, level k 3 * 2**(k-1)
+
+
+def test_checkpoint_stores_a_base_of_one_chunk(monkeypatch, tmp_path):
+    # HA3 walks its quotient by D4, whose levels 22 and 23 have 11,162 and
+    # 16,853 cosets: level 22 is the base, the levels below it are tallied
+    # and nothing else is kept.  No whole level past the base is built, so
+    # the memory budget of level_sets is never consulted.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: pytest.fail("budget consulted"))
+    gcm = build_catalog("HA3").gcm
+    ck = tmp_path / "ha3.npz"
+    plain = enumerate_levels(gcm, 26)
+    assert enumerate_levels(gcm, 26, ck) == plain
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.complete and state.order == 26 and state.lam == (0, 0, 0, 1, 0)
+    assert state.base_index == 22 and len(state.base) == state.tally[22, 0] == 11162
+    assert len(state.waiting) == len(state.chunks) == 0 and len(state.tally) == 27
+    assert ck.stat().st_size < 1 << 20
+    # A larger order walks on from the stored base, never from level 0; a
+    # smaller one is answered from the tally and leaves the file alone.
+    monkeypatch.setattr(weyl, "_base", lambda *args: pytest.fail("base rebuilt"))
+    assert enumerate_levels(gcm, 28, ck) == enumerate_levels(gcm, 28)
+    grown = weyl.LevelCheckpoint.load(ck, gcm)
+    assert grown.order == 28 and grown.base_index == 22
+    assert np.array_equal(grown.base, state.base)
+    before = ck.read_bytes()
+    assert enumerate_levels(gcm, 20, ck) == enumerate_levels(gcm, 20)
+    assert ck.read_bytes() == before
+
+
+def test_chunk_size_and_workers_keep_the_checkpoint_base(monkeypatch, tmp_path):
+    # The chunk size sets which level is the base, not its rows: they are
+    # that level of the orbit of lambda, and a resume under another chunk
+    # size or worker count keeps them as they are.
+    gcm = build_catalog("HA3").gcm
+    cases = ((weyl._CHUNK_ROWS, 1, 8, 3), (7, 1, 4, 1), (1, 3, 1, 7))
+    for chunk_rows, workers, base_index, resume_rows in cases:
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
+        ck = tmp_path / f"c{chunk_rows}w{workers}.npz"
+        assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
+        state = weyl.LevelCheckpoint.load(ck, gcm)
+        assert state.base_index == base_index
+        oracle = list(weyl._orbit_levels(gcm, base_index, state.lam))[base_index - 1]
+        assert set(map(tuple, state.base.tolist())) == set(oracle)
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", resume_rows)
+        resumed = enumerate_levels(gcm, 11, ck, workers=4 - workers)
+        assert resumed.coeffs == HA3_GROWTH_REFERENCE[:12]
+        again = weyl.LevelCheckpoint.load(ck, gcm)
+        assert again.base_index == base_index and np.array_equal(again.base, state.base)
+
+
+class _Interrupt(Exception):
+    pass
+
+
+def _interrupted(gcm, order, ck, after, calls=None):
+    """Run a checkpointed count whose _tally raises _Interrupt on the walk's
+    chunk number ``after``, and append the level of each chunk it starts
+    to ``calls``.  The walk's own calls are those that pass ``out`` (the
+    breadth-first base does not) at the full rank (the counts of W_J are
+    of lower rank)."""
+    real = weyl._tally
+    calls = [] if calls is None else calls
+    start = len(calls)
+
+    def tally(C, rows, i, t, out=None):
+        if out is not None and C.rank == gcm.rank:
+            calls.append(i)
+            if len(calls) - start == after:
+                raise _Interrupt
+        return real(C, rows, i, t, out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl, "_tally", tally)
+        return enumerate_levels(gcm, order, ck)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, weyl._CHUNK_ROWS])
+@pytest.mark.parametrize("name,order,deep_order", [("HA2", 10, 28), ("HA3", 10, 26),
+                                                  ("free3", 8, 16)])
+def test_interrupted_walk_resumes_to_the_plain_count(monkeypatch, tmp_path, chunk_rows,
+                                                     name, order, deep_order):
+    # The walk saves after every chunk and is interrupted in the middle of
+    # its chunk 2, 4, 8, ... of each run, until a run ends.  Each run must
+    # go on from the chunks the last one left waiting, so that the chunks
+    # finished over all runs are those of one uninterrupted walk.  With
+    # chunks of 16,384 rows the order is one that takes the walk past its
+    # base.
+    gcm = validate_gcm(FREE3) if name == "free3" else build_catalog(name).gcm
+    if chunk_rows == weyl._CHUNK_ROWS:
+        order = deep_order
+    plain = enumerate_levels(gcm, order)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    uninterrupted = []
+    assert _interrupted(gcm, order, tmp_path / "whole.npz", 0, uninterrupted) == plain
+    ck = tmp_path / "walk.npz"
+    calls, after, resumed_with_waiting_rows = [], 2, 0
+    while True:
+        try:
+            result = _interrupted(gcm, order, ck, after, calls)
+            break
+        except _Interrupt:
+            state = weyl.LevelCheckpoint.load(ck, gcm)
+            assert not state.complete and state.order == order
+            resumed_with_waiting_rows += len(state.waiting) > 0
+            calls.pop()  # the chunk cut short is done again by the next run
+        after *= 2
+    assert resumed_with_waiting_rows >= 2
+    assert calls == uninterrupted
+    assert result == plain
+    assert weyl.LevelCheckpoint.load(ck, gcm).complete
+
+
+def test_interrupted_walk_answers_below_its_base_and_restarts_from_it(monkeypatch, tmp_path):
+    gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 12, ck, 10)
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.base_index == 5 and not state.complete
+    before = ck.read_bytes()
+    assert enumerate_levels(gcm, 3, ck).coeffs == HA2_GROWTH_PREFIX[:4]
+    assert ck.read_bytes() == before
+    assert enumerate_levels(gcm, 14, ck).coeffs == HA2_GROWTH_PREFIX
+    again = weyl.LevelCheckpoint.load(ck, gcm)
+    assert again.complete and again.order == 14 and again.base_index == 5
+    assert np.array_equal(again.base, state.base)
+
+
+def test_resume_walks_the_stored_lambda(monkeypatch, tmp_path):
+    # A walk of the whole group (lambda = rho, W_J trivial), resumed to a
+    # larger order where _parabolic would pick a quotient, keeps rho.
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.npz"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl, "_parabolic", lambda gcm, n: ((1,) * gcm.rank, weyl.IntPolynomial((1,))))
+        assert enumerate_levels(gcm, 8, ck).coeffs == HA2_GROWTH_PREFIX[:9]
+    assert weyl.LevelCheckpoint.load(ck, gcm).lam == (1, 1, 1, 1)
+    assert enumerate_levels(gcm, 14, ck).coeffs == HA2_GROWTH_PREFIX
+    assert weyl.LevelCheckpoint.load(ck, gcm).lam == (1, 1, 1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_gcm(), st.integers(0, 8), st.integers(0, 8))
+def test_checkpointed_count_equals_the_plain_count(gcm, first, second):
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = Path(tmp) / "ck.npz"
+        assert enumerate_levels(gcm, first, ck) == enumerate_levels(gcm, first)
+        assert enumerate_levels(gcm, second, ck) == enumerate_levels(gcm, second)
+
+
 def test_checkpoint_rejects_other_algebra(tmp_path):
     ck = tmp_path / "state.npz"
     enumerate_levels(build_catalog("A2").gcm, 2, ck)
@@ -525,6 +648,14 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     _rewrite_checkpoint(ck, version=np.int64(99))
     with pytest.raises(CheckpointMismatchError, match="version"):
         enumerate_levels(gcm, 4, ck)
+    # Format version 3: one whole level, its index and the counts so far.
+    old = {"algebra_digest": np.str_(gcm_digest(gcm)), "level_index": np.int64(2),
+           "level": np.asarray([[2, 1], [1, 2]]), "coeffs": np.asarray([1, 2, 2]),
+           "complete": np.bool_(False), "content_digest": np.str_("0" * 64)}
+    with open(ck, "wb") as fh:
+        np.savez(fh, version=np.int64(3), **old)
+    with pytest.raises(CheckpointMismatchError, match="version 3"):
+        enumerate_levels(gcm, 4, ck)
     # Format version 2: the same layout without the content digest.
     _rewrite_checkpoint(ck, drop=["content_digest"], version=np.int64(2))
     with pytest.raises(CheckpointMismatchError, match="version"):
@@ -537,13 +668,13 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda data: {"coeffs": np.r_[data["coeffs"][:-1], data["coeffs"][-1] + 1]},
-    lambda data: {"coeffs": data["coeffs"][:-1]},
-    lambda data: {"level_index": data["level_index"] + 1},
-    lambda data: {"level": data["level"][:, :-1]},
-    lambda data: {"level": -data["level"]},
-    lambda data: {"level": np.concatenate([data["level"][:-1], data["level"][:1]])},
-    lambda data: {"coeffs": np.r_[data["coeffs"][:3], data["coeffs"][3] - 1, data["coeffs"][4:]]},
+    lambda data: {"tally": np.r_[data["tally"][:-1], data["tally"][-1:] + [1, 0, 0]]},
+    lambda data: {"tally": data["tally"][:-1]},
+    lambda data: {"base_index": data["base_index"] + 1},
+    lambda data: {"base": data["base"][:, :-1]},
+    lambda data: {"base": -data["base"]},
+    lambda data: {"base": np.concatenate([data["base"][:-1], data["base"][:1]])},
+    lambda data: {"tally": np.r_[data["tally"][:3], data["tally"][3:4] - [1, 0, 0], data["tally"][4:]]},
 ], ids=["last-count", "short-coeffs", "level-index", "width", "negative", "repeated-row",
         "interior-count"])
 def test_checkpoint_rejects_inconsistent_contents(tmp_path, edit):
@@ -552,6 +683,57 @@ def test_checkpoint_rejects_inconsistent_contents(tmp_path, edit):
     enumerate_levels(gcm, 6, ck)
     _rewrite_checkpoint(ck, **edit(dict(np.load(ck, allow_pickle=False))))
     with pytest.raises(CheckpointMismatchError, match="inconsistent"):
+        enumerate_levels(gcm, 10, ck)
+
+
+def _waiting_rows_of_a_level(data):
+    """The edit that repeats a waiting row within the deepest waiting chunk."""
+    waiting = data["waiting"].copy()
+    waiting[-1] = waiting[-2]
+    return {"waiting": waiting}
+
+
+@pytest.mark.parametrize("edit,problem", [
+    (_waiting_rows_of_a_level, "repeated waiting row"),
+    (lambda data: {"chunks": np.r_[[[4, data["chunks"][0, 1]]], data["chunks"][1:]]}, "outside"),
+    (lambda data: {"chunks": np.r_[data["chunks"][:-1], [[12, data["chunks"][-1, 1]]]]}, "outside"),
+    (lambda data: {"chunks": data["chunks"][:-1]}, "do not cover"),
+    (lambda data: {"waiting": -data["waiting"]}, "negative"),
+    (lambda data: {"complete": np.bool_(True)}, "complete flag"),
+    (lambda data: {"tally": np.r_[data["tally"][:2], data["tally"][2:3] + [0, 1, 0], data["tally"][3:]]},
+     "up-edges"),
+    (lambda data: {"tally": np.r_[data["tally"][:5], data["tally"][5:6] - [1, 0, 0], data["tally"][6:]]},
+     "base level 5 has 7 rows but count 6"),
+    (lambda data: {"waiting": data["waiting"] + 1}, "digest"),
+], ids=["repeated-row", "level-below-base", "level-at-order", "uncovered-rows", "negative",
+        "complete-flag", "edge-count", "base-count", "digest"])
+def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch, tmp_path,
+                                                                   edit, problem):
+    # HA2 in chunks of 7 rows has its base at level 5; interrupted in chunk
+    # 10 of the walk to order 12 it leaves chunks waiting at several levels.
+    gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 12, ck, 10)
+    data = dict(np.load(ck, allow_pickle=False))
+    assert int(data["base_index"]) == 5 and len(set(data["chunks"][:, 0])) >= 2
+    _rewrite_checkpoint(ck, **edit(data))
+    with pytest.raises(CheckpointMismatchError, match=f"inconsistent.*{problem}"):
+        enumerate_levels(gcm, 12, ck)
+
+
+@pytest.mark.parametrize("lam", [(0, 0, 0, 0), (0, 1, 1, 0), (0, 0, 2, 0), (0, 0, 1),
+                                 (1, 0, 0, 0)],
+                         ids=["zero", "two-nodes", "not-0-1", "short", "infinite-W_J"])
+def test_checkpoint_rejects_a_bad_lambda(tmp_path, lam):
+    # HA2 less its node -1 is affine A2, so omega_{-1} leaves an infinite W_J.
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.npz"
+    enumerate_levels(gcm, 6, ck)
+    _rewrite_checkpoint(ck, lam=np.asarray(lam, dtype=np.int64))
+    with pytest.raises(CheckpointMismatchError, match="inconsistent.*lambda"):
         enumerate_levels(gcm, 10, ck)
 
 
