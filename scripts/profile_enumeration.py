@@ -12,19 +12,16 @@ Example:
 import argparse
 import time
 
-import numpy as np
-
 from weylgrowth import build_catalog
 from weylgrowth.weyl import _Cartan, _levels  # profiling the internals on purpose
 
 
 def profile(name: str, order: int) -> None:
     gcm = build_catalog(name).gcm
-    zero = np.zeros((1, gcm.rank), dtype=np.int64)
     total = 1
     print(f"{'level':>5} {'count':>12} {'total':>12} {'max coord':>10} {'seconds':>8}")
     start = t0 = time.perf_counter()
-    for i, level, nxt in _levels(_Cartan(gcm.entries), zero, 1, order, []):
+    for i, level, nxt in _levels(_Cartan(gcm.entries), order, []):
         dt = time.perf_counter() - t0
         total += len(level)
         print(f"{i:>5} {len(level):>12} {total:>12} {int(level.max()):>10} {dt:>8.3f}")

@@ -30,8 +30,8 @@ sizes are the growth coefficients.
 The tree has two traversals, one function each: :func:`_count` walks it
 depth-first with a stack of chunks of bounded size when only the counts
 are wanted, so no level is ever held whole, and :func:`_levels` builds it
-breadth-first, one whole level at a time, for level sets, the cross-check
-and the small base level from which a checkpointed walk starts.
+breadth-first, one whole level at a time, for level sets and the
+cross-check.  Both start at the identity, checkpointed or not.
 Both pair and tally each chunk or level with :func:`_tally` and build
 children through the checks of :func:`_checked_children`.  Coordinates are
 stored as checked 64-bit integers.
@@ -79,7 +79,7 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -497,20 +497,20 @@ def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
         frontier = nxt
 
 
-def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: list,
-            reference=None):
-    """Build levels breadth-first from ``level``, the level first - 1, and
-    yield (i, level i, level i + 1) for each i >= first once level i is checked.
+def _levels(C: _Cartan, max_order: int, tally: list, reference=None):
+    """Build levels breadth-first from the identity, and yield (i, level i,
+    level i + 1) for each i >= 1 once level i is checked.
 
     Level i + 1 is built whole before level i is checked, and added to
     ``tally`` in the next step.  It is empty when the group ends at level i,
     and is then checked before level i is yielded, since no step follows to
     check it; it is None for i = max_order, the last level yielded.
-    ``reference``, when given, iterates over the levels first.. of
+    ``reference``, when given, iterates over the levels of
     :func:`_orbit_levels`; every level built, the empty one that ends a
     finite group included, must equal the oracle's as a set of rows.
     """
-    for i in range(first - 1, max_order + 1):
+    level = np.zeros((1, C.rank), dtype=np.int64)
+    for i in range(max_order + 1):
         pair, masks = _tally(C, level, i, tally)
         nxt = _checked_children(C, level, pair, masks) if i < max_order else None
         if reference is not None and nxt is not None:
@@ -518,8 +518,8 @@ def _levels(C: _Cartan, level: np.ndarray, first: int, max_order: int, tally: li
             if len(rows) != len(nxt) or rows != set(next(reference)):
                 raise RuntimeError(f"level {i + 1} differs from the orbit oracle")
         ended = nxt is not None and not len(nxt)
-        _check_levels(tally, max(i, first), i + ended, C.rank)
-        if i >= first:
+        _check_levels(tally, max(i, 1), i + ended, C.rank)
+        if i:
             yield i, level, nxt
         if nxt is None or ended:
             return
@@ -531,64 +531,25 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _step_bytes(C: _Cartan, level: np.ndarray) -> int:
-    """Bytes held while building the level after ``level`` whole.
-
-    It has at most rank * |level| rows of rank int64 coordinates, and a
-    step holds about _WORKING_COPIES arrays of that size.
-    """
-    return C.rank * len(level) * C.rank * 8 * _WORKING_COPIES
-
-
-def _fits(C: _Cartan, level: np.ndarray) -> bool:
-    """Whether building the level after ``level`` whole fits the budget."""
-    return _step_bytes(C, level) <= _memory_budget()
-
-
-def _base(C: _Cartan, max_order: int) -> tuple[int, np.ndarray, list]:
-    """The level b from which a checkpointed walk starts, its rows, and the
-    tally of levels 0..b - 1.
-
-    Levels are built breadth-first by :func:`_levels`, which checks each
-    one.  The base is the first level whose successor has more than
-    _CHUNK_ROWS rows, the last one before an empty level, or level
-    max_order - 1, whichever comes first (level 0 at order 0), so it and
-    every level below it fit one chunk.  Its successor, built on the way,
-    is dropped: the walk builds it again, in chunks, and checks it.
-    """
-    zero = np.zeros((1, C.rank), dtype=np.int64)
-    tally: list = []
-    b, base = 0, zero
-    for i, level, nxt in _levels(C, zero, 1, max_order, tally):
-        if i == max_order or len(level) > _CHUNK_ROWS:
-            break
-        b, base = i, level
-        if len(nxt) > _CHUNK_ROWS:
-            break
-    return b, base, tally[:b]
-
-
 @dataclass(frozen=True)
 class LevelCheckpoint:
-    """Resumable state of a checkpointed count: its depth-first walk of W^J.
+    """Resumable state of a checkpointed count: its depth-first walk of W^J,
+    which starts at the identity like any other count.
 
     ``lam`` is the lambda of the walk (:func:`_parabolic`) and ``order`` the
-    order it counts to.  ``base`` holds the rows of level ``base_index`` of
-    W^J, built breadth-first when the walk started (:func:`_base`), and
-    ``tally`` the count, up-edges and left descents of each level so far
-    (:func:`_tally`), one row per level; the levels below the base are
-    complete.  ``chunks`` gives the level and the row count of each chunk
-    still waiting on the walk's stack, bottom first, and ``waiting`` their
-    rows in that order.  ``complete`` is True once the walk has ended, when
-    nothing waits.  :meth:`load` rejects a file whose parts do not fit
-    together, or do not match the :attr:`content_digest` stored with them.
+    order it counts to.  ``tally`` holds the count, up-edges and left
+    descents of each level so far (:func:`_tally`), one row per level.
+    ``chunks`` gives the level and the row count of each chunk still waiting
+    on the walk's stack, bottom first, and ``waiting`` their rows in that
+    order.  ``complete`` is True once the walk has ended, when nothing
+    waits.  Every level below :attr:`done` is fully counted.  :meth:`load`
+    rejects a file whose parts do not fit together, or do not match the
+    :attr:`content_digest` stored with them.
     """
 
     algebra_digest: str
     lam: tuple[int, ...]
     order: int
-    base_index: int
-    base: np.ndarray
     tally: np.ndarray
     chunks: np.ndarray
     waiting: np.ndarray
@@ -596,11 +557,18 @@ class LevelCheckpoint:
     version: int = CHECKPOINT_VERSION
 
     @property
+    def done(self) -> int:
+        """The lowest level at which a chunk waits, or order + 1 when none
+        does.  The walk pushes a chunk's children only once it has counted
+        the chunk, so every level below this one is fully counted."""
+        return int(self.chunks[:, 0].min()) if len(self.chunks) else self.order + 1
+
+    @property
     def content_digest(self) -> str:
-        """sha256 over the algebra digest, lambda, order, base index,
-        complete flag, tally, base rows, waiting chunks and waiting rows."""
-        arrays = (self.tally, self.base, self.chunks, self.waiting)
-        header = [self.order, self.base_index, self.complete, *self.lam,
+        """sha256 over the algebra digest, lambda, order, complete flag,
+        tally, waiting chunks and waiting rows."""
+        arrays = (self.tally, self.chunks, self.waiting)
+        header = [self.order, self.complete, *self.lam,
                   *(n for a in arrays for n in a.shape)]
         digest = hashlib.sha256(self.algebra_digest.encode())
         for a in (np.asarray(header), *arrays):
@@ -619,8 +587,6 @@ class LevelCheckpoint:
                 algebra_digest=np.str_(self.algebra_digest),
                 lam=np.asarray(self.lam, dtype=np.int64),
                 order=np.int64(self.order),
-                base_index=np.int64(self.base_index),
-                base=self.base,
                 tally=self.tally,
                 chunks=self.chunks,
                 waiting=self.waiting,
@@ -644,8 +610,6 @@ class LevelCheckpoint:
                     algebra_digest=str(data["algebra_digest"]),
                     lam=tuple(int(x) for x in data["lam"]),
                     order=int(data["order"]),
-                    base_index=int(data["base_index"]),
-                    base=data["base"].astype(np.int64),
                     tally=data["tally"].astype(np.int64),
                     chunks=data["chunks"].astype(np.int64),
                     waiting=data["waiting"].astype(np.int64),
@@ -665,40 +629,37 @@ class LevelCheckpoint:
         return state
 
     def _inconsistency(self, gcm: GeneralizedCartanMatrix, digest: str) -> str:
-        rank, lam, b, order = gcm.rank, self.lam, self.base_index, self.order
-        tally, base, chunks, waiting = self.tally, self.base, self.chunks, self.waiting
+        rank, lam, order = gcm.rank, self.lam, self.order
+        tally, chunks, waiting = self.tally, self.chunks, self.waiting
         if len(lam) != rank or not set(lam) <= {0, 1} or sum(lam) not in (1, rank):
             return f"lambda {lam} is neither rho nor a fundamental weight of rank {rank}"
         if sum(lam) < rank and not is_finite_type(gcm.delete_node(gcm.labels[lam.index(1)])):
             return f"lambda {lam} leaves out a W_J that is not finite"
-        if not 0 <= b <= order:
-            return f"base level {b} outside the walk to order {order}"
-        if tally.ndim != 2 or tally.shape[1] != 3 or not b < len(tally) <= order + 1:
-            return f"tally of shape {tally.shape} for base level {b} and order {order}"
+        if tally.ndim != 2 or tally.shape[1] != 3 or not 0 < len(tally) <= order + 1:
+            return f"tally of shape {tally.shape} for order {order}"
         if (tally < 0).any():
             return "negative count"
-        for name, rows in (("base", base), ("waiting", waiting)):
-            if rows.ndim != 2 or rows.shape[1] != rank:
-                return f"{name} rows have shape {rows.shape}, expected width {rank}"
-            if rows.size and int(rows.min()) < 0:
-                return f"negative coordinate among the {name} rows"
-            ordered = rows[np.lexsort(rows.T)]
-            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-                return f"repeated {name} row"
+        if waiting.ndim != 2 or waiting.shape[1] != rank:
+            return f"waiting rows have shape {waiting.shape}, expected width {rank}"
+        if waiting.size and int(waiting.min()) < 0:
+            return "negative coordinate among the waiting rows"
+        ordered = waiting[np.lexsort(waiting.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+            return "repeated waiting row"
         if (chunks.ndim != 2 or chunks.shape[1] != 2 or (chunks[:, 1] < 1).any()
                 or int(chunks[:, 1].sum()) != len(waiting)):
             return f"waiting chunks of shape {chunks.shape} do not cover {len(waiting)} waiting rows"
-        # The rest of the base waits at level b; deeper chunks wait below max_order.
-        levels = chunks[:, 0]
-        if ((levels < b) | (levels >= max(order, b + 1))).any():
-            return f"a chunk waits at a level outside {b}..{order - 1}"
+        # The identity is popped before the first save, and the walk pushes
+        # no chunk at level order, which it counts without building.
+        if ((chunks[:, 0] < 1) | (chunks[:, 0] >= order)).any():
+            return f"a chunk waits at a level outside 1..{order - 1}"
         if self.complete == bool(len(chunks)):
             return "the complete flag does not match the waiting chunks"
-        at_base = int(tally[b, 0]) + int(chunks[levels == b, 1].sum())
-        if at_base != len(base):
-            return f"base level {b} has {len(base)} rows but count {at_base}"
-        try:  # the levels below the base, and every level of a finished walk
-            _check_levels(tally.tolist(), 1, min(order, len(tally)) if self.complete else b - 1, rank)
+        done = self.done
+        if not self.complete and len(tally) < done:
+            return f"tally of {len(tally)} levels, but no chunk waits below level {done}"
+        try:  # every level below done, and the empty one that ends a finished walk early
+            _check_levels(tally.tolist(), 1, min(done - 1, len(tally)), rank)
         except RuntimeError as exc:
             return str(exc)
         if digest != self.content_digest:
@@ -710,7 +671,7 @@ class _Saver:
     """The hook through which :func:`_count` saves a checkpointed walk to
     ``path``: at most once per _SAVE_EVERY_S seconds, and by :meth:`save`
     when the walk ends.  ``fixed`` holds the fields of
-    :class:`LevelCheckpoint` up to the base rows."""
+    :class:`LevelCheckpoint` up to the order."""
 
     def __init__(self, path, fixed: tuple):
         self.path, self.fixed = path, fixed
@@ -721,12 +682,12 @@ class _Saver:
             self.save(stack, tally)
 
     def save(self, stack: list, tally: list) -> None:
-        base = self.fixed[-1]
+        rank = len(self.fixed[1])
         LevelCheckpoint(
             *self.fixed,
             tally=np.asarray(tally, dtype=np.int64).reshape(-1, 3),
             chunks=np.asarray([(i, len(rows)) for i, rows in stack], dtype=np.int64).reshape(-1, 2),
-            waiting=np.concatenate([rows for _, rows in stack] or [base[:0]]),
+            waiting=np.concatenate([rows for _, rows in stack] or [np.empty((0, rank), np.int64)]),
             complete=not stack,
         ).save(self.path)
         self.last = time.monotonic()
@@ -767,33 +728,22 @@ def _factor(gcm: GeneralizedCartanMatrix, lam, max_order: int) -> IntPolynomial:
     return IntPolynomial(_growth(gcm.delete_node(gcm.labels[lam.index(1)]), max_order))
 
 
-def _start(C: _Cartan, gcm: GeneralizedCartanMatrix, max_order: int, path,
-           stored) -> tuple[list, list, _Saver | None]:
-    """The tally, stack and hook with which a checkpointed walk of the orbit
-    of ``C.lam`` starts, given the checkpoint ``stored`` in ``path`` (None
-    when there is no file).
+def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
+    """The tally and stack with which a count to max_order starts, given
+    the checkpoint ``stored`` (None when there is none).
 
-    A finished walk that covers max_order, or that ended early, answers
-    with its tally and nothing to walk, and so does any walk when max_order
-    is below its base.  An unfinished walk to max_order resumes its stack.
-    Otherwise the walk starts from the stored base, or from a new one
-    (:func:`_base`) when there is no file.
+    Every level below ``stored.done`` is fully counted, so when max_order is
+    below it, or a finished walk ended early, the stored tally answers and
+    nothing is walked.  An unfinished walk to max_order resumes its stack.
+    Any other count starts at the identity.
     """
-    if stored is None:
-        b, base, tally = _base(C, max_order)
-        stack = [(b, base)]
-    elif stored.complete and (max_order <= stored.order or len(stored.tally) <= stored.order):
-        return stored.tally.tolist(), [], None
-    elif max_order < stored.base_index:
-        return stored.tally[:max_order + 1].tolist(), [], None
-    else:
-        b, base = stored.base_index, stored.base
-        tally, stack = stored.tally[:b].tolist(), [(b, base)]
-        if not stored.complete and max_order == stored.order:
-            tally = stored.tally.tolist()
+    if stored is not None:
+        if max_order < stored.done or (stored.complete and len(stored.tally) <= stored.order):
+            return stored.tally[:max_order + 1].tolist(), []
+        if max_order == stored.order:
             rows = np.split(stored.waiting, np.cumsum(stored.chunks[:-1, 1]))
-            stack = [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows)]
-    return tally, stack, _Saver(path, (gcm_digest(gcm), tuple(C.lam), max_order, b, base))
+            return stored.tally.tolist(), [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows)]
+    return [], [(0, np.zeros((1, rank), dtype=np.int64))]
 
 
 def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tuple[int, ...]:
@@ -809,9 +759,10 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     first, so their product is exact through max_order.
 
     With a ``checkpoint`` path the walk is saved there and picked up from
-    it (:func:`_start`).  A stored walk keeps its lambda, and W_J(t) is
-    counted anew through max_order: the identity holds for every J, so the
-    lambda that :func:`_parabolic` would pick now does not matter.
+    it (:func:`_start`); an answer from the stored tally leaves the file as
+    it is.  A stored walk keeps its lambda, and W_J(t) is counted anew
+    through max_order: the identity holds for every J, so the lambda that
+    :func:`_parabolic` would pick now does not matter.
     """
     stored = None
     if checkpoint is not None and Path(checkpoint).exists():
@@ -821,9 +772,10 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     else:
         lam, factor = stored.lam, _factor(gcm, stored.lam, max_order)
     C = _Cartan(gcm.entries, lam)
-    tally, stack, saver = [], [(0, np.zeros((1, gcm.rank), dtype=np.int64))], None
-    if checkpoint is not None:
-        tally, stack, saver = _start(C, gcm, max_order, checkpoint, stored)
+    tally, stack = _start(stored, max_order, gcm.rank)
+    saver = None
+    if checkpoint is not None and stack:
+        saver = _Saver(checkpoint, (gcm_digest(gcm), tuple(lam), max_order))
     _count(C, stack, max_order, tally, saver)
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     if saver is not None:
@@ -862,14 +814,16 @@ def enumerate_levels(
     walk ends.
 
     A checkpoint file, when given, holds the state of that walk
-    (:class:`LevelCheckpoint`): the small base level it started from, the
-    tally of every level so far and the chunks still waiting on its stack.
-    It is rewritten at most once per _SAVE_EVERY_S seconds and when the
-    walk ends, and picked up transparently on the next call: an unfinished
-    walk to the same order resumes its stack, a finished one answers any
-    order it covers, and any other order restarts the walk from the stored
-    base.  A file written for a different matrix, or one whose contents do
-    not fit together, raises CheckpointMismatchError.
+    (:class:`LevelCheckpoint`), which starts at the identity as a plain
+    count does: the tally of every level so far and the chunks still
+    waiting on its stack.  It is rewritten at most once per _SAVE_EVERY_S
+    seconds and when the walk ends, and picked up transparently on the next
+    call: an order below the lowest level at which a chunk waits is
+    answered from the tally, as is any order once a finished walk ended
+    early, an unfinished walk to the same order resumes its stack, and any
+    other order restarts the walk from the identity.  A file written for a
+    different matrix, or one whose contents do not fit together, raises
+    CheckpointMismatchError.
 
     ``full_history_dedup`` walks the whole group instead, J empty and
     lambda = rho, through the same kernels: it builds every level
@@ -886,9 +840,7 @@ def enumerate_levels(
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
     if full_history_dedup:
         tally: list = []
-        zero = np.zeros((1, gcm.rank), dtype=np.int64)
-        for _ in _levels(_Cartan(gcm.entries), zero, 1, max_order, tally,
-                         _orbit_levels(gcm, max_order)):
+        for _ in _levels(_Cartan(gcm.entries), max_order, tally, _orbit_levels(gcm, max_order)):
             pass
         coeffs = tuple(count for count, _, _ in tally)
     else:
@@ -919,15 +871,17 @@ def level_sets(
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    C = _Cartan(gcm.entries)
-    zero = np.zeros((1, gcm.rank), dtype=np.int64)
-    levels = [zero]
+    levels = [np.zeros((1, gcm.rank), dtype=np.int64)]
     reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
-    for i, level, nxt in _levels(C, zero, 1, max_order, [], reference):
+    for i, level, nxt in _levels(_Cartan(gcm.entries), max_order, [], reference):
         levels.append(level[np.lexsort(level.T[::-1])])
-        # Level i + 1 is built; the next step builds level i + 2 from it.
-        if i + 1 < max_order and not _fits(C, nxt):
-            raise LevelTooLargeError(i + 2, _step_bytes(C, nxt), _memory_budget())
+        if i + 1 < max_order:
+            # Level i + 1 is built; the next step builds level i + 2 from it,
+            # at most rank * |level i + 1| rows of rank int64 coordinates,
+            # and holds about _WORKING_COPIES arrays of that size.
+            needed = gcm.rank * len(nxt) * gcm.rank * 8 * _WORKING_COPIES
+            if needed > _memory_budget():
+                raise LevelTooLargeError(i + 2, needed, _memory_budget())
     return levels
 
 

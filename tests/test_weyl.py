@@ -268,15 +268,17 @@ def test_small_chunks_count_like_whole_levels(monkeypatch, name):
         assert enumerate_levels(gcm, 12).coeffs == whole
 
 
-@pytest.mark.parametrize("order", [1, 6])
+@pytest.mark.parametrize("order", [2, 6])
 def test_lost_child_breaks_the_edge_count(monkeypatch, tmp_path, order):
+    # At order 1 the walk counts level 1 from the masks of the identity and
+    # builds no child, so order 2 is the first to lose one.
     real = weyl._children
     monkeypatch.setattr(weyl, "_children",
                         lambda A, parents, pair, **kw: real(A, parents, pair, **kw)[1:])
     ck = tmp_path / "ha2.npz"
     with pytest.raises(RuntimeError, match="up-edges"):
         enumerate_levels(build_catalog("HA2").gcm, order, ck)
-    assert not ck.exists()  # the short level 1 is caught before it is saved
+    assert not ck.exists()  # the short level 1 is caught before the walk's one save
 
 
 def test_lost_leaf_breaks_the_edge_count(monkeypatch):
@@ -335,11 +337,10 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     order = 8
     lam, factor = weyl._parabolic(gcm, order)
     C = weyl._Cartan(gcm.entries, lam)
-    zero = np.zeros((1, gcm.rank), dtype=np.int64)
     reference = weyl._orbit_levels(gcm, order, lam)
-    sizes = [1] + [len(level) for _, level, _ in weyl._levels(C, zero, 1, order, [], reference)]
+    sizes = [1] + [len(level) for _, level, _ in weyl._levels(C, order, [], reference)]
     tally = []
-    weyl._count(C, [(0, zero)], order, tally)
+    weyl._count(C, [(0, np.zeros((1, gcm.rank), dtype=np.int64))], order, tally)
     assert [count for count, _, _ in tally] == sizes
     whole = enumerate_levels(gcm, order, full_history_dedup=True)
     assert enumerate_levels(gcm, order) == whole
@@ -474,52 +475,60 @@ def test_checkpoint_complete_group(tmp_path):
 FREE3 = ((2, -1, -4), (-4, 2, -1), (-1, -4, 2))  # W = Z2 * Z2 * Z2, level k 3 * 2**(k-1)
 
 
-def test_checkpoint_stores_a_base_of_one_chunk(monkeypatch, tmp_path):
-    # HA3 walks its quotient by D4, whose levels 22 and 23 have 11,162 and
-    # 16,853 cosets: level 22 is the base, the levels below it are tallied
-    # and nothing else is kept.  No whole level past the base is built, so
-    # the memory budget of level_sets is never consulted.
-    monkeypatch.setattr(weyl, "_memory_budget", lambda: pytest.fail("budget consulted"))
+def _no_whole_levels(*args):
+    pytest.fail("a checkpointed count built whole levels")
+
+
+def test_finished_checkpoint_holds_no_rows(monkeypatch, tmp_path):
+    # HA3 walks its quotient by D4 from the identity, as a plain count
+    # does, and builds no whole level.  Once the walk to order 26 has ended
+    # nothing waits: the file holds lambda, the order and the tally of 27
+    # levels, and no rows.  A lower order is answered from the tally and
+    # leaves the file alone; a higher one walks again from the identity.
+    monkeypatch.setattr(weyl, "_levels", _no_whole_levels)
     gcm = build_catalog("HA3").gcm
     ck = tmp_path / "ha3.npz"
-    plain = enumerate_levels(gcm, 26)
-    assert enumerate_levels(gcm, 26, ck) == plain
+    assert enumerate_levels(gcm, 26, ck) == enumerate_levels(gcm, 26)
     state = weyl.LevelCheckpoint.load(ck, gcm)
     assert state.complete and state.order == 26 and state.lam == (0, 0, 0, 1, 0)
-    assert state.base_index == 22 and len(state.base) == state.tally[22, 0] == 11162
-    assert len(state.waiting) == len(state.chunks) == 0 and len(state.tally) == 27
-    assert ck.stat().st_size < 1 << 20
-    # A larger order walks on from the stored base, never from level 0; a
-    # smaller one is answered from the tally and leaves the file alone.
-    monkeypatch.setattr(weyl, "_base", lambda *args: pytest.fail("base rebuilt"))
+    assert state.done == 27 and len(state.tally) == 27
+    assert state.waiting.shape == (0, 5) and state.chunks.shape == (0, 2)
+    assert ck.stat().st_size < 1 << 16
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl.LevelCheckpoint, "save", lambda *args: pytest.fail("file rewritten"))
+        assert enumerate_levels(gcm, 20, ck) == enumerate_levels(gcm, 20)
+    assert weyl.LevelCheckpoint.load(ck, gcm).content_digest == state.content_digest
     assert enumerate_levels(gcm, 28, ck) == enumerate_levels(gcm, 28)
     grown = weyl.LevelCheckpoint.load(ck, gcm)
-    assert grown.order == 28 and grown.base_index == 22
-    assert np.array_equal(grown.base, state.base)
-    before = ck.read_bytes()
-    assert enumerate_levels(gcm, 20, ck) == enumerate_levels(gcm, 20)
-    assert ck.read_bytes() == before
+    assert grown.complete and grown.order == 28 and len(grown.tally) == 29
+    assert np.array_equal(grown.tally[:26], state.tally[:26])
 
 
-def test_chunk_size_and_workers_keep_the_checkpoint_base(monkeypatch, tmp_path):
-    # The chunk size sets which level is the base, not its rows: they are
-    # that level of the orbit of lambda, and a resume under another chunk
-    # size or worker count keeps them as they are.
+def test_checkpoint_resumes_under_another_chunk_size_and_worker_count(monkeypatch, tmp_path):
+    # The chunk size and the worker count change neither what a finished
+    # walk stores nor a resume: a walk interrupted under one chunk size
+    # finishes under another, and a file written under one of each is
+    # picked up under another.
+    monkeypatch.setattr(weyl, "_levels", _no_whole_levels)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     gcm = build_catalog("HA3").gcm
-    cases = ((weyl._CHUNK_ROWS, 1, 8, 3), (7, 1, 4, 1), (1, 3, 1, 7))
-    for chunk_rows, workers, base_index, resume_rows in cases:
+    tallies = []
+    for chunk_rows, workers, resume_rows in ((weyl._CHUNK_ROWS, 1, 3), (7, 1, 1), (1, 3, 7)):
         monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
         ck = tmp_path / f"c{chunk_rows}w{workers}.npz"
+        with pytest.raises(_Interrupt):
+            _interrupted(gcm, 9, ck, 5)
+        assert len(weyl.LevelCheckpoint.load(ck, gcm).waiting)
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", resume_rows)
         assert enumerate_levels(gcm, 9, ck, workers=workers).coeffs == HA3_GROWTH_REFERENCE[:10]
         state = weyl.LevelCheckpoint.load(ck, gcm)
-        assert state.base_index == base_index
-        oracle = list(weyl._orbit_levels(gcm, base_index, state.lam))[base_index - 1]
-        assert set(map(tuple, state.base.tolist())) == set(oracle)
-        monkeypatch.setattr(weyl, "_CHUNK_ROWS", resume_rows)
+        assert state.complete and len(state.waiting) == 0
+        tallies.append(state.tally)
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
         resumed = enumerate_levels(gcm, 11, ck, workers=4 - workers)
         assert resumed.coeffs == HA3_GROWTH_REFERENCE[:12]
-        again = weyl.LevelCheckpoint.load(ck, gcm)
-        assert again.base_index == base_index and np.array_equal(again.base, state.base)
+        assert weyl.LevelCheckpoint.load(ck, gcm).order == 11
+    assert all(np.array_equal(tally, tallies[0]) for tally in tallies)
 
 
 class _Interrupt(Exception):
@@ -529,15 +538,14 @@ class _Interrupt(Exception):
 def _interrupted(gcm, order, ck, after, calls=None):
     """Run a checkpointed count whose _tally raises _Interrupt on the walk's
     chunk number ``after``, and append the level of each chunk it starts
-    to ``calls``.  The walk's own calls are those that pass ``out`` (the
-    breadth-first base does not) at the full rank (the counts of W_J are
-    of lower rank)."""
+    to ``calls``.  The walk's own calls are those at the full rank (the
+    counts of W_J are of lower rank)."""
     real = weyl._tally
     calls = [] if calls is None else calls
     start = len(calls)
 
     def tally(C, rows, i, t, out=None):
-        if out is not None and C.rank == gcm.rank:
+        if C.rank == gcm.rank:
             calls.append(i)
             if len(calls) - start == after:
                 raise _Interrupt
@@ -557,8 +565,8 @@ def test_interrupted_walk_resumes_to_the_plain_count(monkeypatch, tmp_path, chun
     # its chunk 2, 4, 8, ... of each run, until a run ends.  Each run must
     # go on from the chunks the last one left waiting, so that the chunks
     # finished over all runs are those of one uninterrupted walk.  With
-    # chunks of 16,384 rows the order is one that takes the walk past its
-    # base.
+    # chunks of 16,384 rows the order is one whose levels span several
+    # chunks.
     gcm = validate_gcm(FREE3) if name == "free3" else build_catalog(name).gcm
     if chunk_rows == weyl._CHUNK_ROWS:
         order = deep_order
@@ -585,7 +593,11 @@ def test_interrupted_walk_resumes_to_the_plain_count(monkeypatch, tmp_path, chun
     assert weyl.LevelCheckpoint.load(ck, gcm).complete
 
 
-def test_interrupted_walk_answers_below_its_base_and_restarts_from_it(monkeypatch, tmp_path):
+def test_interrupted_walk_answers_below_its_waiting_chunks_and_restarts(monkeypatch, tmp_path):
+    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # 12, has its lowest waiting chunk at level 6: levels 0..5 are counted
+    # whole.  An order below 6 is answered from the tally and leaves the
+    # file alone; another order walks again from the identity.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
@@ -593,14 +605,17 @@ def test_interrupted_walk_answers_below_its_base_and_restarts_from_it(monkeypatc
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     state = weyl.LevelCheckpoint.load(ck, gcm)
-    assert state.base_index == 5 and not state.complete
-    before = ck.read_bytes()
-    assert enumerate_levels(gcm, 3, ck).coeffs == HA2_GROWTH_PREFIX[:4]
-    assert ck.read_bytes() == before
-    assert enumerate_levels(gcm, 14, ck).coeffs == HA2_GROWTH_PREFIX
+    assert state.done == 6 and not state.complete
+    monkeypatch.setattr(weyl, "_levels", _no_whole_levels)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl.LevelCheckpoint, "save", lambda *args: pytest.fail("file rewritten"))
+        assert enumerate_levels(gcm, 5, ck).coeffs == HA2_GROWTH_PREFIX[:6]
+    assert weyl.LevelCheckpoint.load(ck, gcm).content_digest == state.content_digest
+    calls = []
+    assert _interrupted(gcm, 14, ck, 0, calls).coeffs == HA2_GROWTH_PREFIX
+    assert calls[:2] == [0, 1]  # the identity first, then level 1
     again = weyl.LevelCheckpoint.load(ck, gcm)
-    assert again.complete and again.order == 14 and again.base_index == 5
-    assert np.array_equal(again.base, state.base)
+    assert again.complete and again.order == 14 and again.lam == state.lam
 
 
 def test_resume_walks_the_stored_lambda(monkeypatch, tmp_path):
@@ -648,6 +663,16 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     _rewrite_checkpoint(ck, version=np.int64(99))
     with pytest.raises(CheckpointMismatchError, match="version"):
         enumerate_levels(gcm, 4, ck)
+    # Format version 4: the walk from a stored base level.
+    v4 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([1, 1]),
+          "order": np.int64(2), "base_index": np.int64(1), "base": np.eye(2, dtype=np.int64),
+          "tally": np.asarray([[1, 2, 0], [2, 2, 2], [2, 0, 2]]), "chunks": np.zeros((0, 2)),
+          "waiting": np.zeros((0, 2)), "complete": np.bool_(True),
+          "content_digest": np.str_("0" * 64)}
+    with open(ck, "wb") as fh:
+        np.savez(fh, version=np.int64(4), **v4)
+    with pytest.raises(CheckpointMismatchError, match="version 4"):
+        enumerate_levels(gcm, 4, ck)
     # Format version 3: one whole level, its index and the counts so far.
     old = {"algebra_digest": np.str_(gcm_digest(gcm)), "level_index": np.int64(2),
            "level": np.asarray([[2, 1], [1, 2]]), "coeffs": np.asarray([1, 2, 2]),
@@ -670,18 +695,22 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 @pytest.mark.parametrize("edit", [
     lambda data: {"tally": np.r_[data["tally"][:-1], data["tally"][-1:] + [1, 0, 0]]},
     lambda data: {"tally": data["tally"][:-1]},
-    lambda data: {"base_index": data["base_index"] + 1},
-    lambda data: {"base": data["base"][:, :-1]},
-    lambda data: {"base": -data["base"]},
-    lambda data: {"base": np.concatenate([data["base"][:-1], data["base"][:1]])},
+    lambda data: {"waiting": data["waiting"][:, :-1]},
+    lambda data: {"waiting": -data["waiting"]},
+    lambda data: {"waiting": np.concatenate([data["waiting"][:-1], data["waiting"][:1]])},
     lambda data: {"tally": np.r_[data["tally"][:3], data["tally"][3:4] - [1, 0, 0], data["tally"][4:]]},
-], ids=["last-count", "short-coeffs", "level-index", "width", "negative", "repeated-row",
-        "interior-count"])
-def test_checkpoint_rejects_inconsistent_contents(tmp_path, edit):
+], ids=["last-count", "short-coeffs", "width", "negative", "repeated-row", "interior-count"])
+def test_checkpoint_rejects_inconsistent_contents(monkeypatch, tmp_path, edit):
+    # HA2 interrupted in chunk 6 of the walk to order 6 has counted levels
+    # 0..4 and has the 7 rows of level 5 waiting.
     gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
-    enumerate_levels(gcm, 6, ck)
-    _rewrite_checkpoint(ck, **edit(dict(np.load(ck, allow_pickle=False))))
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 6, ck, 6)
+    data = dict(np.load(ck, allow_pickle=False))
+    assert data["chunks"].tolist() == [[5, 7]] and len(data["tally"]) == 5
+    _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match="inconsistent"):
         enumerate_levels(gcm, 10, ck)
 
@@ -695,22 +724,21 @@ def _waiting_rows_of_a_level(data):
 
 @pytest.mark.parametrize("edit,problem", [
     (_waiting_rows_of_a_level, "repeated waiting row"),
-    (lambda data: {"chunks": np.r_[[[4, data["chunks"][0, 1]]], data["chunks"][1:]]}, "outside"),
+    (lambda data: {"chunks": np.r_[[[0, data["chunks"][0, 1]]], data["chunks"][1:]]}, "outside"),
     (lambda data: {"chunks": np.r_[data["chunks"][:-1], [[12, data["chunks"][-1, 1]]]]}, "outside"),
     (lambda data: {"chunks": data["chunks"][:-1]}, "do not cover"),
     (lambda data: {"waiting": -data["waiting"]}, "negative"),
     (lambda data: {"complete": np.bool_(True)}, "complete flag"),
     (lambda data: {"tally": np.r_[data["tally"][:2], data["tally"][2:3] + [0, 1, 0], data["tally"][3:]]},
      "up-edges"),
-    (lambda data: {"tally": np.r_[data["tally"][:5], data["tally"][5:6] - [1, 0, 0], data["tally"][6:]]},
-     "base level 5 has 7 rows but count 6"),
+    (lambda data: {"tally": data["tally"][:5]}, "tally of 5 levels, but no chunk waits below level 6"),
     (lambda data: {"waiting": data["waiting"] + 1}, "digest"),
-], ids=["repeated-row", "level-below-base", "level-at-order", "uncovered-rows", "negative",
-        "complete-flag", "edge-count", "base-count", "digest"])
+], ids=["repeated-row", "level-zero", "level-at-order", "uncovered-rows", "negative",
+        "complete-flag", "edge-count", "short-tally", "digest"])
 def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch, tmp_path,
                                                                    edit, problem):
-    # HA2 in chunks of 7 rows has its base at level 5; interrupted in chunk
-    # 10 of the walk to order 12 it leaves chunks waiting at several levels.
+    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # 12, leaves chunks waiting at levels 6, 8 and 9; levels 0..5 are done.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
@@ -718,7 +746,7 @@ def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch,
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     data = dict(np.load(ck, allow_pickle=False))
-    assert int(data["base_index"]) == 5 and len(set(data["chunks"][:, 0])) >= 2
+    assert data["chunks"][:, 0].tolist() == [6, 8, 9] and len(data["tally"]) == 9
     _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match=f"inconsistent.*{problem}"):
         enumerate_levels(gcm, 12, ck)
