@@ -33,7 +33,7 @@ from .series import (
     series_div,
     series_mul,
 )
-from .weyl import CheckpointMismatchError, GrowthSeries, enumerate_levels
+from .weyl import CheckpointMismatchError, GrowthSeries, LevelTooLargeError, enumerate_levels
 
 CHECKPOINT_DIR_ENV = "WEYLGROWTH_CHECKPOINT_DIR"
 
@@ -72,9 +72,9 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
                                         f"(relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="count the whole group breadth-first instead of a parabolic quotient, and check "
-                        "every level, as a set, against an independent breadth-first search over the "
-                        "orbit of rho that deduplicates against every earlier level")
+                   help="count the whole group instead of a parabolic quotient, hold every level whole, "
+                        "and check each one, as a set, against an independent breadth-first search over "
+                        "the orbit of rho that deduplicates against every earlier level")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, LevelTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except RuntimeError as exc:

@@ -19,7 +19,7 @@ one node, with W_J finite and as large as it can be; W_J(t) is counted the
 same way on the submatrix of J, recursively, and when no such W_J is
 finite, J is empty and lambda is rho.  Every count walks a quotient, with
 or without a checkpoint; :func:`level_sets` and the full-history
-cross-check walk the whole group, through the same kernels.
+cross-check walk the whole group with the same :func:`_count`.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -27,14 +27,14 @@ Casselman's "Computation in Coxeter groups").  W^J is closed under removing
 a left descent, so every element of it then arises exactly once, below its
 canonical parent: W^J is a rooted tree and nothing is deduplicated.  Level
 sizes are the growth coefficients.
-The tree has two traversals, one function each: :func:`_count` walks it
-depth-first with a stack of chunks of bounded size when only the counts
-are wanted, so no level is ever held whole, and :func:`_levels` builds it
-breadth-first, one whole level at a time, for level sets and the
-cross-check.  Both start at the identity, checkpointed or not.
-Both pair and tally each chunk or level with :func:`_tally` and build
-children through the checks of :func:`_checked_children`.  Coordinates are
-stored as checked 64-bit integers.
+One function walks the tree: :func:`_count`, depth-first from the identity
+with a stack of chunks of bounded size, checkpointed or not, so a count
+never holds a level whole.  It yields each chunk once it is counted; a
+count keeps only the tally, and :func:`_whole_levels` copies the chunks
+into whole levels for level sets and the cross-check.  Each chunk is
+paired and tallied by :func:`_tally` and its children built through the
+checks of :func:`_checked_children`.  Coordinates are stored as checked
+64-bit integers.
 
 The depth-first count never builds its last level: it counts that level's
 elements and their left descents from the masks that select them in their
@@ -48,7 +48,7 @@ One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
 Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
 the levels of the orbit of rho, and the full-history cross-check of
-:func:`enumerate_levels` and :func:`level_sets` compares every level built
+:func:`enumerate_levels` and :func:`level_sets` compares every whole level
 with it as a set.
 """
 
@@ -93,21 +93,16 @@ _CHUNK_ROWS = 1 << 14
 # and once more when it ends.
 _SAVE_EVERY_S = 60.0
 
-# Arrays the size of the next level that a breadth-first step holds at once:
-# the children, and less than as much again for the parents, their
-# pairings, the level before them and the index arrays of the step.
-_WORKING_COPIES = 2
-
 
 class CheckpointMismatchError(RuntimeError):
     """A checkpoint file does not belong to this run or is inconsistent."""
 
 
 class LevelTooLargeError(MemoryError):
-    """A whole level set would not fit the memory budget of a breadth-first step.
+    """Whole level sets would not fit the memory budget.
 
-    ``level`` is the word length of the level that was about to be built
-    and ``bytes_needed`` the bytes that step would hold.
+    ``level`` is the word length of the chunk whose copy crossed the budget
+    and ``bytes_needed`` the bytes of the rows held with it.
     """
 
     def __init__(self, level: int, bytes_needed: int, budget: int):
@@ -373,9 +368,10 @@ def _checked_children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, masks: 
     return children
 
 
-def _count(C: _Cartan, stack: list, max_order: int, tally: list, hook=None) -> None:
+def _count(C: _Cartan, stack: list, max_order: int, tally: list):
     """Count the canonical-parent tree below the (level index, rows) chunks
-    on ``stack`` depth-first, into ``tally`` (:func:`_tally`).
+    on ``stack`` depth-first, into ``tally`` (:func:`_tally`), and yield
+    (level index, rows) for every chunk once it is counted.
 
     Each popped chunk is cut to at most _CHUNK_ROWS rows, the rest pushed
     back.  Below level max_order - 1 its children are pushed as one chunk of
@@ -399,11 +395,11 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list, hook=None) -> N
     array only when it is full.  A popped chunk is copied into ``parents``
     and its pairings go into ``pairings``.  Fresh megabyte arrays per chunk
     would have the allocator hand memory back to the system and fault it in
-    again chunk after chunk, a cost that swings with host load.
+    again chunk after chunk, a cost that swings with host load.  So the
+    yielded rows are a view of ``parents``, valid until the walk resumes.
 
-    ``hook``, when given, is called as hook(stack, tally) after every chunk.
-    Every row is then either counted in ``tally`` or waiting on ``stack``,
-    so the two are a state the walk can resume from.
+    At every yield each row is either counted in ``tally`` or waiting on
+    ``stack``, so the two are a state the walk can resume from.
     """
     parents = np.empty((_CHUNK_ROWS, C.rank), dtype=np.int64)
     pairings = np.empty((C.rank, _CHUNK_ROWS), dtype=np.int64)
@@ -435,8 +431,7 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list, hook=None) -> N
                 used += len(children)
             if len(children):
                 stack.append((i + 1, children))
-        if hook is not None:
-            hook(stack, tally)
+        yield i, rows
 
 
 def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
@@ -497,38 +492,41 @@ def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
         frontier = nxt
 
 
-def _levels(C: _Cartan, max_order: int, tally: list, reference=None):
-    """Build levels breadth-first from the identity, and yield (i, level i,
-    level i + 1) for each i >= 1 once level i is checked.
-
-    Level i + 1 is built whole before level i is checked, and added to
-    ``tally`` in the next step.  It is empty when the group ends at level i,
-    and is then checked before level i is yielded, since no step follows to
-    check it; it is None for i = max_order, the last level yielded.
-    ``reference``, when given, iterates over the levels of
-    :func:`_orbit_levels`; every level built, the empty one that ends a
-    finite group included, must equal the oracle's as a set of rows.
-    """
-    level = np.zeros((1, C.rank), dtype=np.int64)
-    for i in range(max_order + 1):
-        pair, masks = _tally(C, level, i, tally)
-        nxt = _checked_children(C, level, pair, masks) if i < max_order else None
-        if reference is not None and nxt is not None:
-            rows = set(map(tuple, nxt.tolist()))
-            if len(rows) != len(nxt) or rows != set(next(reference)):
-                raise RuntimeError(f"level {i + 1} differs from the orbit oracle")
-        ended = nxt is not None and not len(nxt)
-        _check_levels(tally, max(i, 1), i + ended, C.rank)
-        if i:
-            yield i, level, nxt
-        if nxt is None or ended:
-            return
-        level = nxt
-
-
 def _memory_budget() -> int:
-    """Bytes a breadth-first step may take: half the physical memory."""
+    """Bytes the whole levels of :func:`_whole_levels` may take: half the
+    physical memory."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = False) -> list:
+    """Levels 0..max_order of the whole group (J empty), one array of rows
+    in walk order per level, up to the last nonempty one.
+
+    :func:`_count` walks to max_order + 1, so that level max_order is built
+    and only the level after it is counted, and every chunk it yields is
+    copied.  Once the rows held pass :func:`_memory_budget`,
+    :class:`LevelTooLargeError` names the level of the chunk copied last.
+    With ``oracle`` every level, the empty one that ends a finite group
+    included, must equal that of :func:`_orbit_levels` as a set of rows.
+    The tally is checked as a count's is, once the walk ends.
+    """
+    C = _Cartan(gcm.entries)
+    tally, chunks, held, budget = [], [], 0, _memory_budget()
+    for i, rows in _count(C, [(0, np.zeros((1, C.rank), dtype=np.int64))], max_order + 1, tally):
+        if i == len(chunks):
+            chunks.append([])
+        chunks[i].append(rows.copy())
+        held += rows.nbytes
+        if held > budget:
+            raise LevelTooLargeError(i, held, budget)
+    levels = [np.concatenate(level) for level in chunks]
+    if oracle:
+        for k, expected in enumerate(_orbit_levels(gcm, max_order), 1):
+            level = levels[k].tolist() if k < len(levels) else []
+            if len(level) != len(expected) or set(map(tuple, level)) != set(expected):
+                raise RuntimeError(f"level {k} differs from the orbit oracle")
+    _check_levels(tally, 1, min(max_order + 1, len(tally)), C.rank)
+    return levels
 
 
 @dataclass(frozen=True)
@@ -668,9 +666,9 @@ class LevelCheckpoint:
 
 
 class _Saver:
-    """The hook through which :func:`_count` saves a checkpointed walk to
-    ``path``: at most once per _SAVE_EVERY_S seconds, and by :meth:`save`
-    when the walk ends.  ``fixed`` holds the fields of
+    """Saves a checkpointed walk of :func:`_count` to ``path`` when called
+    between its chunks: at most once per _SAVE_EVERY_S seconds, and by
+    :meth:`save` when the walk ends.  ``fixed`` holds the fields of
     :class:`LevelCheckpoint` up to the order."""
 
     def __init__(self, path, fixed: tuple):
@@ -776,7 +774,9 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     saver = None
     if checkpoint is not None and stack:
         saver = _Saver(checkpoint, (gcm_digest(gcm), tuple(lam), max_order))
-    _count(C, stack, max_order, tally, saver)
+    for _ in _count(C, stack, max_order, tally):
+        if saver is not None:
+            saver(stack, tally)
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     if saver is not None:
         saver.save(stack, tally)  # the walk has ended
@@ -826,11 +826,11 @@ def enumerate_levels(
     CheckpointMismatchError.
 
     ``full_history_dedup`` walks the whole group instead, J empty and
-    lambda = rho, through the same kernels: it builds every level
-    breadth-first (:func:`_levels`) and checks each one, as a set, against
-    the level of the orbit oracle (:func:`_orbit_levels`), which
-    deduplicates against every earlier level; a mismatch raises
-    RuntimeError.
+    lambda = rho, with the same :func:`_count`: it holds every level whole
+    (:func:`_whole_levels`) and checks each one, as a set, against the
+    level of the orbit oracle (:func:`_orbit_levels`), which deduplicates
+    against every earlier level; a mismatch raises RuntimeError.  Held
+    levels past the memory budget raise :class:`LevelTooLargeError`.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -839,10 +839,7 @@ def enumerate_levels(
     if full_history_dedup and checkpoint_path is not None:
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
     if full_history_dedup:
-        tally: list = []
-        for _ in _levels(_Cartan(gcm.entries), max_order, tally, _orbit_levels(gcm, max_order)):
-            pass
-        coeffs = tuple(count for count, _, _ in tally)
+        coeffs = tuple(map(len, _whole_levels(gcm, max_order, oracle=True)))
     else:
         coeffs = _growth(gcm, max_order, checkpoint_path)
     return GrowthSeries(coeffs, len(coeffs) <= max_order, algebra_name)
@@ -858,31 +855,22 @@ def level_sets(
     tests.
 
     Returns one (n, rank) array of lexicographically sorted rows per level,
-    starting with the zero vector at level 0, from the breadth-first
-    traversal of :func:`_levels`, which checks every level.  Stops early at
-    the first empty level.  ``full_history_dedup`` checks every level, as a
-    set, against the orbit oracle, as in :func:`enumerate_levels`.
+    starting with the zero vector at level 0, from the depth-first walk of
+    :func:`_count`, copied into whole levels by :func:`_whole_levels`, which
+    checks every level.  Stops early at the first empty level.
+    ``full_history_dedup`` checks every level, as a set, against the orbit
+    oracle, as in :func:`enumerate_levels`.
 
-    Every level is held whole.  Before a level is built from the one before
-    it, the step must fit the memory budget (half the physical memory);
-    otherwise :class:`LevelTooLargeError`, a ``MemoryError``, names the level
-    and the bytes the step would need.  :func:`enumerate_levels` counts
-    past that point.
+    Every level is held whole, and the rows held must fit the memory
+    budget (half the physical memory); otherwise
+    :class:`LevelTooLargeError`, a ``MemoryError``, names the level being
+    copied and the bytes held.  :func:`enumerate_levels` counts past that
+    point.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    levels = [np.zeros((1, gcm.rank), dtype=np.int64)]
-    reference = _orbit_levels(gcm, max_order) if full_history_dedup else None
-    for i, level, nxt in _levels(_Cartan(gcm.entries), max_order, [], reference):
-        levels.append(level[np.lexsort(level.T[::-1])])
-        if i + 1 < max_order:
-            # Level i + 1 is built; the next step builds level i + 2 from it,
-            # at most rank * |level i + 1| rows of rank int64 coordinates,
-            # and holds about _WORKING_COPIES arrays of that size.
-            needed = gcm.rank * len(nxt) * gcm.rank * 8 * _WORKING_COPIES
-            if needed > _memory_budget():
-                raise LevelTooLargeError(i + 2, needed, _memory_budget())
-    return levels
+    levels = _whole_levels(gcm, max_order, oracle=full_history_dedup)
+    return [level[np.lexsort(level.T[::-1])] for level in levels]
 
 
 def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name: str = "") -> GrowthSeries:

@@ -65,6 +65,17 @@ def test_growth_debug_dedup_flag(capsys):
     assert plain == debug
 
 
+def test_growth_debug_dedup_over_the_memory_budget_exits_2(capsys, monkeypatch):
+    # The full-history check holds every level whole; past the memory
+    # budget it stops with LevelTooLargeError, which is not an internal error.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 64)
+    code = main(["growth", "--algebra", "HA2", "--order", "6", "--debug-full-dedup"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: level ")
+    assert captured.err.rstrip().endswith("more than the budget of 64 bytes")
+
+
 def test_growth_unknown_algebra_exits_2(capsys):
     code, _ = run(capsys, ["growth", "--algebra", "Z9", "--order", "3"])
     assert code == 2
