@@ -135,8 +135,6 @@ class AlgebraDescriptor:
 
     @property
     def name(self) -> str:
-        if self.family == "Custom":
-            return f"custom(rank={self.gcm.rank})"
         return f"{self.family}{self.rank_param}"
 
     @property

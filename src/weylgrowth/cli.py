@@ -182,12 +182,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
     candidate = build_catalog(args.candidate)
     numerator = finite_poincare(invariant_degrees(candidate))
     growth = _growth(args)
-    result = ratio_fit(numerator, growth, args.margin)
+    series = growth
+    if growth.complete:  # a finite group's series is exact at every order
+        series = TruncatedSeries.from_polynomial(IntPolynomial(growth.coeffs), args.order)
+    result = ratio_fit(numerator, series, args.margin)
     quotient = list(result.quotient.coeffs) if result.quotient is not None else None
     payload = {
         "algebra": growth.algebra,
         "candidate": candidate.name,
-        "order": growth.order,
+        "order": result.order_checked,
         "margin": args.margin,
         "verdict": result.verdict,
         "degree": result.degree,

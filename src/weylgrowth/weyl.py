@@ -32,9 +32,9 @@ with a stack of chunks of bounded size, checkpointed or not, so a count
 never holds a level whole.  It yields each chunk once it is counted; a
 count keeps only the tally, and :func:`_whole_levels` copies the chunks
 into whole levels for level sets and the cross-check.  Each chunk is
-paired and tallied by :func:`_tally` and its children built through the
-checks of :func:`_checked_children`.  Coordinates are stored as checked
-64-bit integers.
+checked against the coordinate budget, paired and tallied by
+:func:`_tally`, and its children built by :func:`_children` and checked to
+be nonnegative.  Coordinates are stored as checked 64-bit integers.
 
 The depth-first count never builds its last level: it counts that level's
 elements and their left descents from the masks that select them in their
@@ -79,7 +79,7 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -357,26 +357,18 @@ def _tally(C: _Cartan, rows: np.ndarray, i: int, tally: list, out=None) -> tuple
     return pair, masks
 
 
-def _checked_children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, masks: tuple,
-                      out=None) -> np.ndarray:
-    """:func:`_children` of ``parents`` within the coordinate budget, checked
-    to be nonnegative."""
-    _check_coordinate_budget(C, parents)
-    children = _children(C, parents, pair, out=out, masks=masks)
-    if children.size and int(children.min()) < 0:
-        raise RuntimeError("negative coordinate generated: enumeration invariant violated")
-    return children
-
-
 def _count(C: _Cartan, stack: list, max_order: int, tally: list):
     """Count the canonical-parent tree below the (level index, rows) chunks
     on ``stack`` depth-first, into ``tally`` (:func:`_tally`), and yield
     (level index, rows) for every chunk once it is counted.
 
     Each popped chunk is cut to at most _CHUNK_ROWS rows, the rest pushed
-    back.  Below level max_order - 1 its children are pushed as one chunk of
-    the next level.  Newest first, the walk holds at most one chunk's
-    children per level.
+    back, and checked against the coordinate budget before it is paired.
+    Below level max_order - 1 its children, checked to be nonnegative, are
+    pushed as one chunk of the next level.  Newest first, the walk holds at
+    most one chunk's children per level.  A chunk of level max_order, which
+    only a resumed walk has (:func:`_start`), is tallied and has no children
+    built.
 
     Level max_order is not built: a chunk of level max_order - 1 adds its
     children's count and left descents to ``tally[max_order]`` from the masks
@@ -416,9 +408,9 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list):
             used -= len(rows)
         np.copyto(parents[:len(rows)], rows)
         rows = parents[:len(rows)]
+        _check_coordinate_budget(C, rows)
         pair, masks = _tally(C, rows, i, tally, pairings[:, :len(rows)])
         if i + 1 == max_order:
-            _check_coordinate_budget(C, rows)
             count, descents = _leaf_counts(C, pair, masks=masks)
             if count:
                 if len(tally) == max_order:
@@ -426,7 +418,9 @@ def _count(C: _Cartan, stack: list, max_order: int, tally: list):
                 tally[max_order][0] += count
                 tally[max_order][2] += descents
         elif i < max_order:
-            children = _checked_children(C, rows, pair, masks, spill[used:])
+            children = _children(C, rows, pair, out=spill[used:], masks=masks)
+            if children.size and int(children.min()) < 0:
+                raise RuntimeError("negative coordinate generated: enumeration invariant violated")
             if children.base is spill:
                 used += len(children)
             if len(children):
@@ -539,10 +533,10 @@ class LevelCheckpoint:
     descents of each level so far (:func:`_tally`), one row per level.
     ``chunks`` gives the level and the row count of each chunk still waiting
     on the walk's stack, bottom first, and ``waiting`` their rows in that
-    order.  ``complete`` is True once the walk has ended, when nothing
-    waits.  Every level below :attr:`done` is fully counted.  :meth:`load`
-    rejects a file whose parts do not fit together, or do not match the
-    :attr:`content_digest` stored with them.
+    order; a walk resumed below its stored order (:func:`_start`) may leave
+    a chunk waiting at its own order.  Every level below :attr:`done` is
+    fully counted.  :meth:`load` rejects a file whose parts do not fit
+    together, or do not match the :attr:`content_digest` stored with them.
     """
 
     algebra_digest: str
@@ -551,8 +545,12 @@ class LevelCheckpoint:
     tally: np.ndarray
     chunks: np.ndarray
     waiting: np.ndarray
-    complete: bool
     version: int = CHECKPOINT_VERSION
+
+    @property
+    def complete(self) -> bool:
+        """Whether the walk has ended: nothing waits."""
+        return not len(self.chunks)
 
     @property
     def done(self) -> int:
@@ -563,11 +561,10 @@ class LevelCheckpoint:
 
     @property
     def content_digest(self) -> str:
-        """sha256 over the algebra digest, lambda, order, complete flag,
-        tally, waiting chunks and waiting rows."""
+        """sha256 over the algebra digest, lambda, order, tally, waiting
+        chunks and waiting rows."""
         arrays = (self.tally, self.chunks, self.waiting)
-        header = [self.order, self.complete, *self.lam,
-                  *(n for a in arrays for n in a.shape)]
+        header = [self.order, *self.lam, *(n for a in arrays for n in a.shape)]
         digest = hashlib.sha256(self.algebra_digest.encode())
         for a in (np.asarray(header), *arrays):
             digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
@@ -588,7 +585,6 @@ class LevelCheckpoint:
                 tally=self.tally,
                 chunks=self.chunks,
                 waiting=self.waiting,
-                complete=np.bool_(self.complete),
                 content_digest=np.str_(self.content_digest),
             )
             fh.flush()
@@ -611,7 +607,6 @@ class LevelCheckpoint:
                     tally=data["tally"].astype(np.int64),
                     chunks=data["chunks"].astype(np.int64),
                     waiting=data["waiting"].astype(np.int64),
-                    complete=bool(data["complete"]),
                     version=version,
                 )
                 digest = str(data["content_digest"])
@@ -647,12 +642,11 @@ class LevelCheckpoint:
         if (chunks.ndim != 2 or chunks.shape[1] != 2 or (chunks[:, 1] < 1).any()
                 or int(chunks[:, 1].sum()) != len(waiting)):
             return f"waiting chunks of shape {chunks.shape} do not cover {len(waiting)} waiting rows"
-        # The identity is popped before the first save, and the walk pushes
-        # no chunk at level order, which it counts without building.
-        if ((chunks[:, 0] < 1) | (chunks[:, 0] >= order)).any():
-            return f"a chunk waits at a level outside 1..{order - 1}"
-        if self.complete == bool(len(chunks)):
-            return "the complete flag does not match the waiting chunks"
+        # The identity is popped before the first save.  A walk pushes no
+        # chunk at level order, but one resumed at a lower order keeps the
+        # stored chunks at its own order (_start).
+        if ((chunks[:, 0] < 1) | (chunks[:, 0] > order)).any():
+            return f"a chunk waits at a level outside 1..{order}"
         done = self.done
         if not self.complete and len(tally) < done:
             return f"tally of {len(tally)} levels, but no chunk waits below level {done}"
@@ -663,32 +657,6 @@ class LevelCheckpoint:
         if digest != self.content_digest:
             return "contents do not match their digest"
         return ""
-
-
-class _Saver:
-    """Saves a checkpointed walk of :func:`_count` to ``path`` when called
-    between its chunks: at most once per _SAVE_EVERY_S seconds, and by
-    :meth:`save` when the walk ends.  ``fixed`` holds the fields of
-    :class:`LevelCheckpoint` up to the order."""
-
-    def __init__(self, path, fixed: tuple):
-        self.path, self.fixed = path, fixed
-        self.last = time.monotonic()
-
-    def __call__(self, stack: list, tally: list) -> None:
-        if time.monotonic() - self.last >= _SAVE_EVERY_S:
-            self.save(stack, tally)
-
-    def save(self, stack: list, tally: list) -> None:
-        rank = len(self.fixed[1])
-        LevelCheckpoint(
-            *self.fixed,
-            tally=np.asarray(tally, dtype=np.int64).reshape(-1, 3),
-            chunks=np.asarray([(i, len(rows)) for i, rows in stack], dtype=np.int64).reshape(-1, 2),
-            waiting=np.concatenate([rows for _, rows in stack] or [np.empty((0, rank), np.int64)]),
-            complete=not stack,
-        ).save(self.path)
-        self.last = time.monotonic()
 
 
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
@@ -730,18 +698,22 @@ def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
     """The tally and stack with which a count to max_order starts, given
     the checkpoint ``stored`` (None when there is none).
 
-    Every level below ``stored.done`` is fully counted, so when max_order is
-    below it, or a finished walk ended early, the stored tally answers and
-    nothing is walked.  An unfinished walk to max_order resumes its stack.
-    Any other count starts at the identity.
+    A stored walk is resumed when max_order is at most its order, or when
+    it has ended early (a finite W^J): its tally is cut to levels
+    0..max_order, and the chunks waiting at those levels go back on the
+    stack, bottom first.  The deeper ones are dropped: their rows descend
+    from rows of level max_order that are already counted.  When no chunk
+    is left, the tally answers and nothing is walked, as for any max_order
+    below ``stored.done``, the levels of which are fully counted.
+    A larger order starts at the identity: a walk to order n counts level n
+    without building it, so nothing stored lets a walk go on past it.
     """
-    if stored is not None:
-        if max_order < stored.done or (stored.complete and len(stored.tally) <= stored.order):
-            return stored.tally[:max_order + 1].tolist(), []
-        if max_order == stored.order:
-            rows = np.split(stored.waiting, np.cumsum(stored.chunks[:-1, 1]))
-            return stored.tally.tolist(), [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows)]
-    return [], [(0, np.zeros((1, rank), dtype=np.int64))]
+    if stored is None or max_order > stored.order and not (
+            stored.complete and len(stored.tally) <= stored.order):
+        return [], [(0, np.zeros((1, rank), dtype=np.int64))]
+    rows = np.split(stored.waiting, np.cumsum(stored.chunks[:-1, 1]))
+    stack = [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows) if i <= max_order]
+    return stored.tally[:max_order + 1].tolist(), stack
 
 
 def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tuple[int, ...]:
@@ -756,11 +728,12 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     Both factors hold levels 0..max_order, or fewer where the group ends
     first, so their product is exact through max_order.
 
-    With a ``checkpoint`` path the walk is saved there and picked up from
-    it (:func:`_start`); an answer from the stored tally leaves the file as
-    it is.  A stored walk keeps its lambda, and W_J(t) is counted anew
-    through max_order: the identity holds for every J, so the lambda that
-    :func:`_parabolic` would pick now does not matter.
+    With a ``checkpoint`` path the walk is picked up from it (:func:`_start`)
+    and, when there is anything to walk, saved there at most once per
+    _SAVE_EVERY_S seconds and once when it ends; an answer from the stored
+    tally leaves the file as it is.  A stored walk keeps its lambda, and
+    W_J(t) is counted anew through max_order: the identity holds for every
+    J, so the lambda that :func:`_parabolic` would pick now does not matter.
     """
     stored = None
     if checkpoint is not None and Path(checkpoint).exists():
@@ -771,15 +744,24 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
         lam, factor = stored.lam, _factor(gcm, stored.lam, max_order)
     C = _Cartan(gcm.entries, lam)
     tally, stack = _start(stored, max_order, gcm.rank)
-    saver = None
-    if checkpoint is not None and stack:
-        saver = _Saver(checkpoint, (gcm_digest(gcm), tuple(lam), max_order))
+    saving = checkpoint is not None and bool(stack)
+
+    def save() -> float:
+        LevelCheckpoint(
+            gcm_digest(gcm), lam, max_order,
+            tally=np.asarray(tally, dtype=np.int64).reshape(-1, 3),
+            chunks=np.asarray([(i, len(rows)) for i, rows in stack], dtype=np.int64).reshape(-1, 2),
+            waiting=np.concatenate([rows for _, rows in stack] or [np.empty((0, gcm.rank), np.int64)]),
+        ).save(checkpoint)
+        return time.monotonic()
+
+    saved = time.monotonic()
     for _ in _count(C, stack, max_order, tally):
-        if saver is not None:
-            saver(stack, tally)
+        if saving and time.monotonic() - saved >= _SAVE_EVERY_S:
+            saved = save()
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
-    if saver is not None:
-        saver.save(stack, tally)  # the walk has ended
+    if saving:
+        save()  # the walk has ended
     quotient = IntPolynomial(tuple(count for count, _, _ in tally))
     return (quotient * factor).coeffs[:max_order + 1]
 
@@ -818,12 +800,12 @@ def enumerate_levels(
     count does: the tally of every level so far and the chunks still
     waiting on its stack.  It is rewritten at most once per _SAVE_EVERY_S
     seconds and when the walk ends, and picked up transparently on the next
-    call: an order below the lowest level at which a chunk waits is
-    answered from the tally, as is any order once a finished walk ended
-    early, an unfinished walk to the same order resumes its stack, and any
-    other order restarts the walk from the identity.  A file written for a
-    different matrix, or one whose contents do not fit together, raises
-    CheckpointMismatchError.
+    call (:func:`_start`): an order up to the stored one, or any order once
+    a finished walk ended early, resumes the stored walk cut to that order,
+    and is answered from the tally, leaving the file as it is, when no chunk
+    waits at or below it.  A larger order restarts the walk from the
+    identity.  A file written for a different matrix, or one whose contents
+    do not fit together, raises CheckpointMismatchError.
 
     ``full_history_dedup`` walks the whole group instead, J empty and
     lambda = rho, with the same :func:`_count`: it holds every level whole

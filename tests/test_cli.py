@@ -256,6 +256,25 @@ def test_fit_insufficient_order_exits_2(capsys):
     assert code == 2
 
 
+def test_fit_against_a_finite_group_reads_its_series_to_the_order(capsys):
+    # A3 ends at length 6, but its series is exact at every order: A3 over
+    # itself is 1, and A2 over D4 does not terminate by order 30.
+    code, out = run(capsys, ["fit", "--algebra", "A3", "--candidate", "A3",
+                             "--order", "20", "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["verdict"], payload["degree"]) == ("polynomial", 0)
+    assert payload["quotient"] == [1] and payload["order"] == 20
+    code, out = run(capsys, ["fit", "--algebra", "D4", "--candidate", "A2",
+                             "--order", "30", "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "non_terminating" and payload["order"] == 30
+    assert payload["evidence"] == [26, 27, 28, 29, 30]
+    code, _ = run(capsys, ["fit", "--algebra", "A3", "--candidate", "A3", "--order", "8"])
+    assert code == 2
+
+
 def test_fit_rejects_non_finite_candidate(capsys):
     code, _ = run(capsys, ["fit", "--algebra", "HA2", "--candidate", "AffA1", "--order", "12"])
     assert code == 2

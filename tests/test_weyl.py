@@ -613,7 +613,7 @@ def test_interrupted_walk_answers_below_its_waiting_chunks_and_restarts(monkeypa
     # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
     # 12, has its lowest waiting chunk at level 6: levels 0..5 are counted
     # whole.  An order below 6 is answered from the tally and leaves the
-    # file alone; another order walks again from the identity.
+    # file alone; an order past 12 walks again from the identity.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
@@ -632,6 +632,46 @@ def test_interrupted_walk_answers_below_its_waiting_chunks_and_restarts(monkeypa
     assert calls[:2] == [0, 1]  # the identity first, then level 1
     again = weyl.LevelCheckpoint.load(ck, gcm)
     assert again.complete and again.order == 14 and again.lam == state.lam
+
+
+def test_interrupted_walk_resumes_at_a_lower_order(monkeypatch, tmp_path):
+    # The walk of the test above, asked for order 10, goes on from its
+    # waiting chunks at levels 6, 8 and 9 instead of the identity: the
+    # chunk at level 9 first, whose children it only counts.
+    gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    monkeypatch.setattr(weyl, "_whole_levels", _no_whole_levels)
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 12, ck, 10)
+    assert weyl.LevelCheckpoint.load(ck, gcm).chunks[:, 0].tolist() == [6, 8, 9]
+    calls = []
+    assert _interrupted(gcm, 10, ck, 0, calls) == enumerate_levels(gcm, 10)
+    assert len(calls) == 14 and calls[0] == 9
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.complete and state.order == 10
+
+
+def test_walk_resumed_at_a_lower_order_saves_a_chunk_at_that_order(monkeypatch, tmp_path):
+    # Resumed at order 9, the walk of the test above tallies its waiting
+    # chunk at level 9 seven rows at a time and builds no children of it.
+    # Interrupted after one such chunk, it leaves the rest of level 9
+    # waiting, at the order of the file it saves, and that file resumes.
+    gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 12, ck, 10)
+    calls = []
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 9, ck, 2, calls)
+    assert calls == [9, 9]
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.order == 9 and state.chunks[-1, 0] == 9
+    assert enumerate_levels(gcm, 9, ck) == enumerate_levels(gcm, 9)
+    assert weyl.LevelCheckpoint.load(ck, gcm).complete
 
 
 def test_resume_walks_the_stored_lambda(monkeypatch, tmp_path):
@@ -678,6 +718,15 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
     enumerate_levels(gcm, 2, ck)
     _rewrite_checkpoint(ck, version=np.int64(99))
     with pytest.raises(CheckpointMismatchError, match="version"):
+        enumerate_levels(gcm, 4, ck)
+    # Format version 5: the walk from the identity, with a complete flag.
+    v5 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([1, 1]),
+          "order": np.int64(2), "tally": np.asarray([[1, 2, 0], [2, 2, 2], [2, 0, 2]]),
+          "chunks": np.zeros((0, 2)), "waiting": np.zeros((0, 2)), "complete": np.bool_(True),
+          "content_digest": np.str_("0" * 64)}
+    with open(ck, "wb") as fh:
+        np.savez(fh, version=np.int64(5), **v5)
+    with pytest.raises(CheckpointMismatchError, match="version 5"):
         enumerate_levels(gcm, 4, ck)
     # Format version 4: the walk from a stored base level.
     v4 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([1, 1]),
@@ -741,16 +790,18 @@ def _waiting_rows_of_a_level(data):
 @pytest.mark.parametrize("edit,problem", [
     (_waiting_rows_of_a_level, "repeated waiting row"),
     (lambda data: {"chunks": np.r_[[[0, data["chunks"][0, 1]]], data["chunks"][1:]]}, "outside"),
-    (lambda data: {"chunks": np.r_[data["chunks"][:-1], [[12, data["chunks"][-1, 1]]]]}, "outside"),
+    (lambda data: {"chunks": np.r_[data["chunks"][:-1], [[13, data["chunks"][-1, 1]]]]}, "outside"),
     (lambda data: {"chunks": data["chunks"][:-1]}, "do not cover"),
     (lambda data: {"waiting": -data["waiting"]}, "negative"),
-    (lambda data: {"complete": np.bool_(True)}, "complete flag"),
+    # Without its waiting chunks the file reads as a finished walk, whose
+    # partly counted levels break the edge count.
+    (lambda data: {"chunks": np.zeros((0, 2), np.int64), "waiting": data["waiting"][:0]}, "up-edges"),
     (lambda data: {"tally": np.r_[data["tally"][:2], data["tally"][2:3] + [0, 1, 0], data["tally"][3:]]},
      "up-edges"),
     (lambda data: {"tally": data["tally"][:5]}, "tally of 5 levels, but no chunk waits below level 6"),
     (lambda data: {"waiting": data["waiting"] + 1}, "digest"),
-], ids=["repeated-row", "level-zero", "level-at-order", "uncovered-rows", "negative",
-        "complete-flag", "edge-count", "short-tally", "digest"])
+], ids=["repeated-row", "level-zero", "level-past-order", "uncovered-rows", "negative",
+        "dropped-chunks", "edge-count", "short-tally", "digest"])
 def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch, tmp_path,
                                                                    edit, problem):
     # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
