@@ -1,10 +1,11 @@
 """Exact enumeration of Kac-Moody Weyl groups by word length.
 
 Builds generalized Cartan matrices for the classical, affine-A, and
-over-extended HA families, enumerates their Weyl groups level by level
-using canonical nonnegative root-lattice vectors, and analyzes the
-resulting growth series: closed-form Poincare polynomials for finite and
-affine types, and polynomial-quotient fits for the hyperbolic ones.
+over-extended HA families, counts their Weyl groups by walking a parabolic
+quotient W^J depth-first, each element named by a canonical nonnegative
+root-lattice vector, and analyzes the resulting growth series: closed-form
+Poincare polynomials for finite and affine types, and polynomial-quotient
+fits for the hyperbolic ones.
 """
 
 from .algebra import (
@@ -13,13 +14,10 @@ from .algebra import (
     GeneralizedCartanMatrix,
     NotFiniteError,
     RankOutOfRangeError,
-    SingularMatrixError,
     UnknownFamilyError,
     build_catalog,
-    fundamental_weights,
     gcm_from_json,
     invariant_degrees,
-    invert_cartan,
     is_finite_type,
     load_gcm_file,
     validate_gcm,
@@ -35,9 +33,7 @@ from .series import (
     cyclotomic_polynomial,
     cyclotomic_trial_division,
     expand_factored,
-    factors_from_json_list,
     finite_poincare,
-    polynomial_from_json_dict,
     ratio_fit,
     series_div,
     series_mul,
@@ -70,7 +66,6 @@ __all__ = [
     "NotFiniteError",
     "RankOutOfRangeError",
     "RatioFitResult",
-    "SingularMatrixError",
     "TruncatedSeries",
     "UnknownFamilyError",
     "affine_poincare",
@@ -79,18 +74,14 @@ __all__ = [
     "cyclotomic_trial_division",
     "enumerate_levels",
     "expand_factored",
-    "factors_from_json_list",
     "finite_poincare",
-    "fundamental_weights",
     "gamma_reflect",
     "gcm_digest",
     "gcm_from_json",
     "invariant_degrees",
-    "invert_cartan",
     "is_finite_type",
     "level_sets",
     "load_gcm_file",
-    "polynomial_from_json_dict",
     "ratio_fit",
     "series_div",
     "series_mul",

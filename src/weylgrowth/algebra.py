@@ -1,8 +1,7 @@
-"""Generalized Cartan matrices, the algebra catalog, and exact inverse data.
+"""Generalized Cartan matrices and the algebra catalog.
 
-Everything here is exact: matrices are integer tuples and inverses are
-matrices of ``fractions.Fraction``, so entries like 5/4 or 7/4 survive
-bit-for-bit into downstream computations.
+Everything here is exact: matrices are integer tuples, and the finite-type
+test :func:`is_finite_type` works over ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from pathlib import Path
 
 __all__ = [
     "CartanMatrixError",
-    "SingularMatrixError",
     "UnknownFamilyError",
     "RankOutOfRangeError",
     "NotFiniteError",
@@ -24,9 +22,7 @@ __all__ = [
     "AlgebraDescriptor",
     "validate_gcm",
     "build_catalog",
-    "invert_cartan",
     "is_finite_type",
-    "fundamental_weights",
     "invariant_degrees",
     "weyl_group_order",
     "gcm_from_json",
@@ -54,10 +50,6 @@ _NAME_RE = re.compile(r"(HA|AffA|[A-G])(\d+)")
 
 class CartanMatrixError(ValueError):
     """An integer matrix violates the generalized Cartan matrix axioms."""
-
-
-class SingularMatrixError(ValueError):
-    """The matrix has no inverse (zero determinant, e.g. affine type)."""
 
 
 class UnknownFamilyError(ValueError):
@@ -107,15 +99,6 @@ class GeneralizedCartanMatrix:
         keep = [i for i in range(self.rank) if i != k]
         entries = tuple(tuple(self.entries[i][j] for j in keep) for i in keep)
         return GeneralizedCartanMatrix(entries, tuple(self.labels[i] for i in keep))
-
-    def delete_edge(self, label_a: str, label_b: str) -> "GeneralizedCartanMatrix":
-        """Subdiagram with the bond between two nodes removed."""
-        a, b = self.index_of(label_a), self.index_of(label_b)
-        if a == b or self.entries[a][b] == 0:
-            raise ValueError(f"no edge between {label_a!r} and {label_b!r}")
-        entries = [list(row) for row in self.entries]
-        entries[a][b] = entries[b][a] = 0
-        return GeneralizedCartanMatrix(tuple(tuple(r) for r in entries), self.labels)
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "matrix": [list(r) for r in self.entries]}
@@ -269,32 +252,6 @@ def build_catalog(descriptor_name: str) -> AlgebraDescriptor:
     return AlgebraDescriptor(family, rank, validate_gcm(entries, labels))
 
 
-def invert_cartan(gcm: GeneralizedCartanMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of the Cartan matrix by Gauss-Jordan over Fraction.
-
-    Raises SingularMatrixError when the determinant is zero, which is the
-    affine case.
-    """
-    n = gcm.rank
-    aug = [
-        [Fraction(gcm.entries[i][j]) for j in range(n)]
-        + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("Cartan matrix is singular")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
     """Whether the Weyl group of ``gcm`` is finite, decided exactly.
 
@@ -335,15 +292,6 @@ def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
             if f:
                 b[i] = [x - f * y for x, y in zip(b[i], b[k])]
     return True
-
-
-def fundamental_weights(gcm: GeneralizedCartanMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Fundamental weights in simple-root coordinates.
-
-    Row mu of the inverse Cartan matrix expresses the weight dual to node
-    mu as an exact rational combination of the simple roots.
-    """
-    return invert_cartan(gcm)
 
 
 def invariant_degrees(descriptor: AlgebraDescriptor) -> tuple[int, ...]:

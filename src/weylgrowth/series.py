@@ -34,8 +34,6 @@ __all__ = [
     "expand_factored",
     "cyclotomic_polynomial",
     "cyclotomic_trial_division",
-    "polynomial_from_json_dict",
-    "factors_from_json_list",
 ]
 
 POLYNOMIAL = "polynomial"
@@ -380,14 +378,3 @@ def cyclotomic_trial_division(p: IntPolynomial, max_cyclotomic_index: int):
             factors.append((k, mult))
     return tuple(factors), p
 
-
-def polynomial_from_json_dict(obj) -> IntPolynomial:
-    """Parse the polynomial/series JSON form {"coeffs": [int, ...]}."""
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError('polynomial JSON must be an object with a "coeffs" key')
-    return IntPolynomial(tuple(int(c) for c in obj["coeffs"]))
-
-
-def factors_from_json_list(objs) -> list[IntPolynomial]:
-    """Parse the factored form: a list of {"coeffs": [...]} objects."""
-    return [polynomial_from_json_dict(obj) for obj in objs]

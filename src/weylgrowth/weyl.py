@@ -93,16 +93,25 @@ _CHUNK_ROWS = 1 << 14
 # and once more when it ends.
 _SAVE_EVERY_S = 60.0
 
+# Bytes the orbit oracle holds per state it has found, for the memory
+# budget of the full-history cross-check: the state's tuple of Python ints
+# in ``seen`` and its share of the frontier.  tracemalloc read peaks of 285,
+# 275 and 252 bytes per state on HA2 to order 8 and HA3 to orders 12 and 18
+# (557, 11,720 and 158,931 states; Python 3.11.7).
+_ORACLE_STATE_BYTES = 288
+
 
 class CheckpointMismatchError(RuntimeError):
     """A checkpoint file does not belong to this run or is inconsistent."""
 
 
 class LevelTooLargeError(MemoryError):
-    """Whole level sets would not fit the memory budget.
+    """Whole level sets, with the orbit oracle's states when it runs, would
+    not fit the memory budget.
 
-    ``level`` is the word length of the chunk whose copy crossed the budget
-    and ``bytes_needed`` the bytes of the rows held with it.
+    ``level`` is the word length of the chunk whose copy crossed the budget,
+    or of the oracle level whose states did, and ``bytes_needed`` the bytes
+    of the rows and oracle states held with it.
     """
 
     def __init__(self, level: int, bytes_needed: int, budget: int):
@@ -487,8 +496,8 @@ def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
 
 
 def _memory_budget() -> int:
-    """Bytes the whole levels of :func:`_whole_levels` may take: half the
-    physical memory."""
+    """Bytes the whole levels and oracle states of :func:`_whole_levels` may
+    take: half the physical memory."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
@@ -502,6 +511,9 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
     :class:`LevelTooLargeError` names the level of the chunk copied last.
     With ``oracle`` every level, the empty one that ends a finite group
     included, must equal that of :func:`_orbit_levels` as a set of rows.
+    The oracle keeps every state it has found, so each level it yields is
+    charged to the same budget, at _ORACLE_STATE_BYTES a state, on top of
+    the rows; past the budget :class:`LevelTooLargeError` names that level.
     The tally is checked as a count's is, once the walk ends.
     """
     C = _Cartan(gcm.entries)
@@ -516,6 +528,9 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
     levels = [np.concatenate(level) for level in chunks]
     if oracle:
         for k, expected in enumerate(_orbit_levels(gcm, max_order), 1):
+            held += len(expected) * _ORACLE_STATE_BYTES
+            if held > budget:
+                raise LevelTooLargeError(k, held, budget)
             level = levels[k].tolist() if k < len(levels) else []
             if len(level) != len(expected) or set(map(tuple, level)) != set(expected):
                 raise RuntimeError(f"level {k} differs from the orbit oracle")
@@ -545,7 +560,6 @@ class LevelCheckpoint:
     tally: np.ndarray
     chunks: np.ndarray
     waiting: np.ndarray
-    version: int = CHECKPOINT_VERSION
 
     @property
     def complete(self) -> bool:
@@ -578,7 +592,7 @@ class LevelCheckpoint:
         with open(tmp, "wb") as fh:
             np.savez(
                 fh,
-                version=np.int64(self.version),
+                version=np.int64(CHECKPOINT_VERSION),
                 algebra_digest=np.str_(self.algebra_digest),
                 lam=np.asarray(self.lam, dtype=np.int64),
                 order=np.int64(self.order),
@@ -607,7 +621,6 @@ class LevelCheckpoint:
                     tally=data["tally"].astype(np.int64),
                     chunks=data["chunks"].astype(np.int64),
                     waiting=data["waiting"].astype(np.int64),
-                    version=version,
                 )
                 digest = str(data["content_digest"])
         except CheckpointMismatchError:
@@ -812,7 +825,8 @@ def enumerate_levels(
     (:func:`_whole_levels`) and checks each one, as a set, against the
     level of the orbit oracle (:func:`_orbit_levels`), which deduplicates
     against every earlier level; a mismatch raises RuntimeError.  Held
-    levels past the memory budget raise :class:`LevelTooLargeError`.
+    levels and oracle states past the memory budget raise
+    :class:`LevelTooLargeError`.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -843,11 +857,11 @@ def level_sets(
     ``full_history_dedup`` checks every level, as a set, against the orbit
     oracle, as in :func:`enumerate_levels`.
 
-    Every level is held whole, and the rows held must fit the memory
-    budget (half the physical memory); otherwise
-    :class:`LevelTooLargeError`, a ``MemoryError``, names the level being
-    copied and the bytes held.  :func:`enumerate_levels` counts past that
-    point.
+    Every level is held whole, and the rows held, with the oracle's states
+    under ``full_history_dedup``, must fit the memory budget (half the
+    physical memory); otherwise :class:`LevelTooLargeError`, a
+    ``MemoryError``, names the level being copied or checked and the bytes
+    held.  :func:`enumerate_levels` counts past that point.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")

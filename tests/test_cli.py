@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from weylgrowth import weyl
+from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, level_sets, weyl
 from weylgrowth.cli import main
 
 
@@ -74,6 +74,22 @@ def test_growth_debug_dedup_over_the_memory_budget_exits_2(capsys, monkeypatch):
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: level ")
     assert captured.err.rstrip().endswith("more than the budget of 64 bytes")
+
+
+def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monkeypatch):
+    # HA2 levels 0..8 hold 17,824 bytes of rows, inside 65,536 bytes; the
+    # orbit oracle's states, charged at _ORACLE_STATE_BYTES each, take the
+    # full-history check past it.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 65536)
+    gcm = build_catalog("HA2").gcm
+    assert tuple(map(len, level_sets(gcm, 8))) == (1, 4, 10, 20, 35, 57, 89, 136, 205)
+    with pytest.raises(LevelTooLargeError, match="budget of 65536 bytes") as info:
+        enumerate_levels(gcm, 8, full_history_dedup=True)
+    assert info.value.bytes_needed > 65536 and 1 <= info.value.level <= 8
+    code = main(["growth", "--algebra", "HA2", "--order", "8", "--debug-full-dedup"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: level ")
 
 
 def test_growth_unknown_algebra_exits_2(capsys):

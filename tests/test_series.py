@@ -409,15 +409,3 @@ def test_trial_division_reconstructs_input():
         for _ in range(mult):
             rebuilt = rebuilt * (IntPolynomial((1, -1)) if index == 1 else cyclotomic_polynomial(index))
     assert rebuilt == p
-
-
-# --------------------------------------------------------------- JSON forms
-
-def test_polynomial_json_form():
-    from weylgrowth import factors_from_json_list, polynomial_from_json_dict
-
-    assert polynomial_from_json_dict({"coeffs": [1, -1, -1, 0, 0, 1]}).coeffs == (1, -1, -1, 0, 0, 1)
-    with pytest.raises(ValueError, match="coeffs"):
-        polynomial_from_json_dict({"c": [1]})
-    factors = factors_from_json_list([{"coeffs": [1, 0, -1]}, {"coeffs": [1, -1, 0, -1]}])
-    assert expand_factored(factors).coeffs == (1, -1, -1, 0, 0, 1)
