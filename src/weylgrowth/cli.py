@@ -115,8 +115,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _growth(args: argparse.Namespace) -> GrowthSeries:
-    """Enumerate the matrix named by --algebra or --gcm-file up to --order."""
+def _growth(args: argparse.Namespace) -> tuple[str, GrowthSeries]:
+    """The name of the matrix given by --algebra or --gcm-file, and its growth series to --order."""
     if args.algebra is not None:
         desc = build_catalog(args.algebra)
         name, gcm = desc.name, desc.gcm
@@ -125,8 +125,8 @@ def _growth(args: argparse.Namespace) -> GrowthSeries:
     checkpoint = args.checkpoint
     if checkpoint is not None:
         checkpoint = os.path.join(os.environ.get(CHECKPOINT_DIR_ENV, ""), checkpoint)
-    return enumerate_levels(gcm, args.order, checkpoint, workers=args.workers,
-                            full_history_dedup=args.debug_full_dedup, algebra_name=name)
+    return name, enumerate_levels(gcm, args.order, checkpoint, workers=args.workers,
+                                  full_history_dedup=args.debug_full_dedup)
 
 
 def _emit(fmt: str, payload, csv_rows, text: str) -> None:
@@ -140,9 +140,10 @@ def _emit(fmt: str, payload, csv_rows, text: str) -> None:
 
 
 def _lines(payload: dict) -> str:
-    """One "key: value" line per entry, with list values space-joined."""
+    """One "key: value" line per entry, with list values space-joined; an
+    empty list leaves the line at "key:"."""
     return "".join(
-        f"{key}: {' '.join(map(str, value)) if isinstance(value, list) else value}\n"
+        " ".join([f"{key}:", *map(str, value if isinstance(value, list) else [value])]) + "\n"
         for key, value in payload.items()
     )
 
@@ -156,8 +157,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_growth(args: argparse.Namespace) -> int:
-    series = _growth(args)
-    payload = {"algebra": series.algebra, "order": series.order, "coeffs": list(series.coeffs),
+    name, series = _growth(args)
+    payload = {"algebra": name, "order": series.order, "coeffs": list(series.coeffs),
                "complete": series.complete}
     _emit(args.output, payload, [("index", "coefficient"), *enumerate(series.coeffs)], _lines(payload))
     return EXIT_OK
@@ -181,14 +182,14 @@ def cmd_poincare(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     candidate = build_catalog(args.candidate)
     numerator = finite_poincare(invariant_degrees(candidate))
-    growth = _growth(args)
+    name, growth = _growth(args)
     series = growth
     if growth.complete:  # a finite group's series is exact at every order
         series = TruncatedSeries.from_polynomial(IntPolynomial(growth.coeffs), args.order)
     result = ratio_fit(numerator, series, args.margin)
     quotient = list(result.quotient.coeffs) if result.quotient is not None else None
     payload = {
-        "algebra": growth.algebra,
+        "algebra": name,
         "candidate": candidate.name,
         "order": result.order_checked,
         "margin": args.margin,
@@ -222,8 +223,8 @@ def _verify_report(order: int, margin: int) -> list[dict]:
     ha2 = build_catalog("HA2")
     ha3_order = min(order, 27)
     ha2_order = min(order, 24)
-    g3 = enumerate_levels(ha3.gcm, ha3_order, algebra_name="HA3")
-    g2 = enumerate_levels(ha2.gcm, ha2_order, algebra_name="HA2")
+    g3 = enumerate_levels(ha3.gcm, ha3_order)
+    g2 = enumerate_levels(ha2.gcm, ha2_order)
 
     expected3 = golden.HA3_GROWTH_REFERENCE[: ha3_order + 1]
     add("growth-ha3", "pass" if g3.coeffs == expected3 else "fail",

@@ -170,17 +170,17 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @classmethod
-    def from_polynomial(cls, p: IntPolynomial, order: int) -> "TruncatedSeries":
+    @staticmethod
+    def from_polynomial(p: IntPolynomial, order: int) -> "TruncatedSeries":
         cs = p.coeffs[: order + 1]
-        return cls(cs + (0,) * (order + 1 - len(cs)))
+        return TruncatedSeries(cs + (0,) * (order + 1 - len(cs)))
 
 
 def _series_prefix(x, order: int, role: str) -> tuple[int, ...]:
     """Coefficients 0..order of a polynomial or series-like operand.
 
-    Polynomials extend with zeros; anything else (TruncatedSeries, a
-    growth series, ...) must already be known through ``order``.
+    Polynomials extend with zeros; anything else (a TruncatedSeries; a
+    GrowthSeries is one) must already be known through ``order``.
     """
     cs = tuple(int(c) for c in x.coeffs)
     if isinstance(x, IntPolynomial):
@@ -248,23 +248,30 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
 class RatioFitResult:
     """Outcome of dividing a finite Poincare polynomial by a growth series.
 
-    ``polynomial`` verdicts carry the quotient and its degree plus the
-    count of verified-zero coefficients past it; ``non_terminating``
-    verdicts instead list the nonzero quotient indices inside the top
-    margin window.  Either way the verdict only speaks for coefficients
-    up to ``order_checked``.
+    The quotient decides the verdict: a polynomial ``quotient`` gives the
+    ``polynomial`` verdict and its degree, with ``margin_checked`` zero
+    coefficients verified past it; ``None`` gives ``non_terminating``, and
+    ``evidence`` lists the nonzero quotient indices inside the top margin
+    window.  Either way the verdict only speaks for coefficients up to
+    ``order_checked``.
     """
 
-    verdict: str
     quotient: IntPolynomial | None
-    degree: int | None
     margin_checked: int
     evidence: tuple[int, ...]
     order_checked: int
 
     @property
     def is_polynomial(self) -> bool:
-        return self.verdict == POLYNOMIAL
+        return self.quotient is not None
+
+    @property
+    def verdict(self) -> str:
+        return POLYNOMIAL if self.is_polynomial else NON_TERMINATING
+
+    @property
+    def degree(self) -> int | None:
+        return self.quotient.degree if self.is_polynomial else None
 
 
 def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioFitResult:
@@ -291,24 +298,9 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
     last_nonzero = _degree(q)
     margin = order - last_nonzero
     if margin >= min_margin:
-        return RatioFitResult(
-            verdict=POLYNOMIAL,
-            quotient=IntPolynomial(q[: last_nonzero + 1]),
-            degree=last_nonzero,
-            margin_checked=margin,
-            evidence=(),
-            order_checked=order,
-        )
-    window_start = order - min_margin + 1
-    evidence = tuple(k for k in range(window_start, order + 1) if q[k])
-    return RatioFitResult(
-        verdict=NON_TERMINATING,
-        quotient=None,
-        degree=None,
-        margin_checked=margin,
-        evidence=evidence,
-        order_checked=order,
-    )
+        return RatioFitResult(IntPolynomial(q[: last_nonzero + 1]), margin, (), order)
+    evidence = tuple(k for k in range(order - min_margin + 1, order + 1) if q[k])
+    return RatioFitResult(None, margin, evidence, order)
 
 
 def finite_poincare(degrees) -> IntPolynomial:

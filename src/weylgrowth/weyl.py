@@ -48,8 +48,7 @@ One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
 Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
 the levels of the orbit of rho, and the full-history cross-check of
-:func:`enumerate_levels` and :func:`level_sets` compares every whole level
-with it as a set.
+:func:`enumerate_levels` compares every whole level with it as a set.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import GeneralizedCartanMatrix, is_finite_type
-from .series import IntPolynomial
+from .series import IntPolynomial, TruncatedSeries
 
 __all__ = [
     "CheckpointMismatchError",
@@ -122,26 +121,14 @@ class LevelTooLargeError(MemoryError):
 
 
 @dataclass(frozen=True)
-class GrowthSeries:
+class GrowthSeries(TruncatedSeries):
     """Element counts per word length, 0..order.
 
     ``complete`` is True only when an empty level was reached within the
     requested window, i.e. the whole finite group has been enumerated.
     """
 
-    coeffs: tuple[int, ...]
     complete: bool
-    algebra: str = ""
-
-    def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
-        if not cs:
-            raise ValueError("a growth series has at least the length-0 count")
-        object.__setattr__(self, "coeffs", cs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def total(self) -> int:
@@ -786,7 +773,6 @@ def enumerate_levels(
     *,
     workers: int = 1,
     full_history_dedup: bool = False,
-    algebra_name: str = "",
 ) -> GrowthSeries:
     """Count the elements of each word length up to max_order.
 
@@ -838,38 +824,31 @@ def enumerate_levels(
         coeffs = tuple(map(len, _whole_levels(gcm, max_order, oracle=True)))
     else:
         coeffs = _growth(gcm, max_order, checkpoint_path)
-    return GrowthSeries(coeffs, len(coeffs) <= max_order, algebra_name)
+    return GrowthSeries(coeffs, len(coeffs) <= max_order)
 
 
-def level_sets(
-    gcm: GeneralizedCartanMatrix,
-    max_order: int,
-    *,
-    full_history_dedup: bool = False,
-) -> list[np.ndarray]:
+def level_sets(gcm: GeneralizedCartanMatrix, max_order: int) -> list[np.ndarray]:
     """The actual level sets of the whole group, for inspection and property
     tests.
 
     Returns one (n, rank) array of lexicographically sorted rows per level,
     starting with the zero vector at level 0, from the depth-first walk of
     :func:`_count`, copied into whole levels by :func:`_whole_levels`, which
-    checks every level.  Stops early at the first empty level.
-    ``full_history_dedup`` checks every level, as a set, against the orbit
-    oracle, as in :func:`enumerate_levels`.
+    checks every level.  Stops early at the first empty level.  The
+    cross-check against the orbit oracle runs the same walk under
+    ``enumerate_levels(..., full_history_dedup=True)``.
 
-    Every level is held whole, and the rows held, with the oracle's states
-    under ``full_history_dedup``, must fit the memory budget (half the
-    physical memory); otherwise :class:`LevelTooLargeError`, a
-    ``MemoryError``, names the level being copied or checked and the bytes
-    held.  :func:`enumerate_levels` counts past that point.
+    Every level is held whole, and the rows held must fit the memory budget
+    (half the physical memory); otherwise :class:`LevelTooLargeError`, a
+    ``MemoryError``, names the level being copied and the bytes held.
+    :func:`enumerate_levels` counts past that point.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
-    levels = _whole_levels(gcm, max_order, oracle=full_history_dedup)
-    return [level[np.lexsort(level.T[::-1])] for level in levels]
+    return [level[np.lexsort(level.T[::-1])] for level in _whole_levels(gcm, max_order)]
 
 
-def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name: str = "") -> GrowthSeries:
+def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int) -> GrowthSeries:
     """Independent growth computation: the level sizes of :func:`_orbit_levels`.
 
     A breadth-first search over the orbit of rho in weight coordinates,
@@ -883,4 +862,4 @@ def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int, algebra_name
         raise ValueError("max_order must be >= 0")
     coeffs = [1, *map(len, _orbit_levels(gcm, max_order))]
     complete = not coeffs[-1]  # an empty level ended the search
-    return GrowthSeries(tuple(coeffs[:-1] if complete else coeffs), complete, algebra_name)
+    return GrowthSeries(tuple(coeffs[:-1] if complete else coeffs), complete)

@@ -14,9 +14,9 @@ if os.environ.get("CI"):
 
 @pytest.fixture(scope="session")
 def ha2_growth_24():
-    return enumerate_levels(build_catalog("HA2").gcm, 24, algebra_name="HA2")
+    return enumerate_levels(build_catalog("HA2").gcm, 24)
 
 
 @pytest.fixture(scope="session")
 def ha3_growth_27():
-    return enumerate_levels(build_catalog("HA3").gcm, 27, algebra_name="HA3")
+    return enumerate_levels(build_catalog("HA3").gcm, 27)

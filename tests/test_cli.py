@@ -113,6 +113,18 @@ def test_growth_from_gcm_file(capsys, tmp_path):
     assert payload["algebra"] == "gcm"
 
 
+def test_fit_from_gcm_file_reports_its_name(capsys, tmp_path):
+    # Affine A1 grows as (1 + t)/(1 - t), so P(A1)/W(t) = 1 - t.
+    path = tmp_path / "mine.json"
+    path.write_text(json.dumps({"labels": ["0", "1"], "matrix": [[2, -2], [-2, 2]]}))
+    code, out = run(capsys, ["fit", "--gcm-file", str(path), "--candidate", "A1",
+                             "--order", "6", "--output", "json"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["algebra"] == "mine"
+    assert payload["quotient"] == [1, -1]
+
+
 def test_growth_bad_gcm_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
     # A bad diagonal, a JSON boolean entry, and labels that are not an array.
@@ -337,7 +349,7 @@ TEXT_OUTPUTS = {
         "degree: 5\n"
         "margin_checked: 19\n"
         "quotient: 1 -1 -1 0 0 1\n"
-        "evidence: \n"
+        "evidence:\n"
         "quotient_polynomial: 1 - t - t^2 + t^5\n"
     ),
     "fit --algebra HA3 --candidate A4 --order 17": (
@@ -348,7 +360,7 @@ TEXT_OUTPUTS = {
         "verdict: non_terminating\n"
         "degree: None\n"
         "margin_checked: 0\n"
-        "quotient: \n"
+        "quotient:\n"
         "evidence: 13 14 15 16 17\n"
     ),
     "growth --algebra A3 --order 99": (

@@ -309,6 +309,8 @@ def test_ratio_fit_expected_degrees(ha2_growth_24):
     result = ratio_fit(numerator, ha2_growth_24, 5)
     assert result.degree == 5
     assert result.quotient.coeffs == (1, -1, -1, 0, 0, 1)
+    assert result.is_polynomial and result.verdict == "polynomial"
+    assert result.degree == result.quotient.degree
 
 
 def test_ratio_fit_verdict_stable_across_orders(ha2_growth_24):
@@ -339,6 +341,7 @@ def test_ratio_fit_non_terminating_synthetic():
     result = ratio_fit(IntPolynomial((1,)), growth, 5)
     assert not result.is_polynomial
     assert result.quotient is None and result.degree is None
+    assert result.verdict == "non_terminating"
     assert result.evidence and all(8 <= k <= 12 for k in result.evidence)
 
 
