@@ -134,7 +134,10 @@ def validate_gcm(entries, labels=None) -> GeneralizedCartanMatrix:
 
     Raises CartanMatrixError describing the first violated axiom.
     """
-    rows = [list(r) for r in entries]
+    try:
+        rows = [list(r) for r in entries]
+    except TypeError:
+        raise CartanMatrixError(f"matrix is not a list of rows: {entries!r}") from None
     n = len(rows)
     if n == 0:
         raise CartanMatrixError("matrix is empty")

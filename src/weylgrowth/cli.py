@@ -1,8 +1,9 @@
 """Command-line interface: catalog, growth, poincare, fit, verify-paper.
 
 Exit codes: 0 success (all checks pass for verify-paper), 1 verification
-failure, 2 invalid input, 3 arithmetic overflow, 4 checkpoint mismatch,
-5 internal error (an enumeration invariant failed).
+failure, 2 invalid input or a count that does not fit in memory, 3
+arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
+enumeration invariant failed, or a W_J called finite did not end).
 All numeric output is exact decimal integers.
 """
 
@@ -33,7 +34,7 @@ from .series import (
     series_div,
     series_mul,
 )
-from .weyl import CheckpointMismatchError, GrowthSeries, LevelTooLargeError, enumerate_levels
+from .weyl import CheckpointMismatchError, GrowthSeries, enumerate_levels
 
 CHECKPOINT_DIR_ENV = "WEYLGROWTH_CHECKPOINT_DIR"
 
@@ -334,7 +335,7 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
-    except (ValueError, KeyError, OSError, LevelTooLargeError) as exc:
+    except (ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except RuntimeError as exc:

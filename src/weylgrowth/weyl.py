@@ -15,9 +15,10 @@ gamma = lambda - w(lambda).  Everything above holds with lambda_mu =
 <lambda, alpha_mu^vee>, 1 off J and 0 on J, in place of the 1 of rho: c =
 lambda_nu - pair[nu], mu is a left descent when pair[mu] > lambda_mu, and
 c = 0 is a move inside the coset, which is neither up nor down.  J = S less
-one node, with W_J finite and as large as it can be; W_J(t) is counted the
-same way on the submatrix of J, recursively, and when no such W_J is
-finite, J is empty and lambda is rho.  Every count walks a quotient, with
+one node, with W_J finite: the last node for a finite W, and otherwise the
+one that leaves W_J the most elements, so the matrix alone fixes J.  W_J(t)
+is counted the same way on the submatrix of J, recursively, and when no
+such W_J is finite, J is empty and lambda is rho.  Every count walks a quotient, with
 or without a checkpoint; :func:`level_sets` and the full-history
 cross-check walk the whole group with the same :func:`_count`.
 
@@ -78,7 +79,9 @@ __all__ = [
     "gcm_digest",
 ]
 
-CHECKPOINT_VERSION = 6
+# The waiting rows of a checkpoint are lambda - w(lambda) for the lambda
+# that _parabolic picks, so a change to that choice changes the format.
+CHECKPOINT_VERSION = 7
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -530,19 +533,19 @@ class LevelCheckpoint:
     """Resumable state of a checkpointed count: its depth-first walk of W^J,
     which starts at the identity like any other count.
 
-    ``lam`` is the lambda of the walk (:func:`_parabolic`) and ``order`` the
-    order it counts to.  ``tally`` holds the count, up-edges and left
-    descents of each level so far (:func:`_tally`), one row per level.
-    ``chunks`` gives the level and the row count of each chunk still waiting
-    on the walk's stack, bottom first, and ``waiting`` their rows in that
-    order; a walk resumed below its stored order (:func:`_start`) may leave
-    a chunk waiting at its own order.  Every level below :attr:`done` is
-    fully counted.  :meth:`load` rejects a file whose parts do not fit
-    together, or do not match the :attr:`content_digest` stored with them.
+    Its rows are lambda - w(lambda) for the lambda of :func:`_parabolic`,
+    which the matrix alone fixes.  ``order`` is the order the walk counts
+    to, and ``tally`` holds the count, up-edges and left descents of each
+    level so far (:func:`_tally`), one row per level.  ``chunks`` gives
+    the level and the row count of each chunk still waiting on the walk's
+    stack, bottom first, and ``waiting`` their rows in that order; a walk
+    resumed below its stored order (:func:`_start`) may leave a chunk
+    waiting at its own order.  Every level below :attr:`done` is fully
+    counted.  :meth:`load` rejects a file whose parts do not fit together,
+    or do not match the :attr:`content_digest` stored with them.
     """
 
     algebra_digest: str
-    lam: tuple[int, ...]
     order: int
     tally: np.ndarray
     chunks: np.ndarray
@@ -562,10 +565,10 @@ class LevelCheckpoint:
 
     @property
     def content_digest(self) -> str:
-        """sha256 over the algebra digest, lambda, order, tally, waiting
-        chunks and waiting rows."""
+        """sha256 over the algebra digest, order, tally, waiting chunks and
+        waiting rows."""
         arrays = (self.tally, self.chunks, self.waiting)
-        header = [self.order, *self.lam, *(n for a in arrays for n in a.shape)]
+        header = [self.order, *(n for a in arrays for n in a.shape)]
         digest = hashlib.sha256(self.algebra_digest.encode())
         for a in (np.asarray(header), *arrays):
             digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
@@ -581,7 +584,6 @@ class LevelCheckpoint:
                 fh,
                 version=np.int64(CHECKPOINT_VERSION),
                 algebra_digest=np.str_(self.algebra_digest),
-                lam=np.asarray(self.lam, dtype=np.int64),
                 order=np.int64(self.order),
                 tally=self.tally,
                 chunks=self.chunks,
@@ -603,7 +605,6 @@ class LevelCheckpoint:
                                                   f"expected {CHECKPOINT_VERSION}")
                 state = LevelCheckpoint(
                     algebra_digest=str(data["algebra_digest"]),
-                    lam=tuple(int(x) for x in data["lam"]),
                     order=int(data["order"]),
                     tally=data["tally"].astype(np.int64),
                     chunks=data["chunks"].astype(np.int64),
@@ -622,12 +623,8 @@ class LevelCheckpoint:
         return state
 
     def _inconsistency(self, gcm: GeneralizedCartanMatrix, digest: str) -> str:
-        rank, lam, order = gcm.rank, self.lam, self.order
+        rank, order = gcm.rank, self.order
         tally, chunks, waiting = self.tally, self.chunks, self.waiting
-        if len(lam) != rank or not set(lam) <= {0, 1} or sum(lam) not in (1, rank):
-            return f"lambda {lam} is neither rho nor a fundamental weight of rank {rank}"
-        if sum(lam) < rank and not is_finite_type(gcm.delete_node(gcm.labels[lam.index(1)])):
-            return f"lambda {lam} leaves out a W_J that is not finite"
         if tally.ndim != 2 or tally.shape[1] != 3 or not 0 < len(tally) <= order + 1:
             return f"tally of shape {tally.shape} for order {order}"
         if (tally < 0).any():
@@ -660,38 +657,41 @@ class LevelCheckpoint:
 
 
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
-    """lambda, in weight coordinates, and W_J(t) through max_order for the
-    parabolic subgroup W_J that :func:`_growth` factors out of W.
+    """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
+    W_J that :func:`_growth` factors out of W; lambda depends on the matrix
+    alone, never on max_order.
 
     J is S less one node k, so lambda is the fundamental weight omega_k.
     W(t) = W^J(t) W_J(t) holds for every J; J is chosen with W_J finite
     (:func:`is_finite_type`) so that W_J(t), which :func:`_growth` counts on
     the submatrix of J with a J of its own, recurses through one subgroup
-    per rank.  When W is finite every such W_J is, and the last node is
-    left out (the catalogue's E8 goes to E7, E6, D5 and the A series).
-    Otherwise the finite W_J with the most elements through max_order is
-    taken, the first on a tie, which leaves W^J the fewest elements per
-    level.  When none is finite, or the rank is 1, J is empty: lambda is
-    rho and W_J(t) is 1.
+    per rank.  When W is finite every such W_J is, the last node is left
+    out (the catalogue's E8 goes to E7, E6, D5 and the A series), and W_J(t)
+    is counted through max_order.  Otherwise each finite W_J is counted
+    whole, and the one with the most elements is taken, the first on a
+    tie, which leaves W^J the fewest elements per level.  A finite Weyl
+    group of rank r has a longest element of length N = r h / 2 summed over
+    its components, and its Coxeter number h is at most max(2r, 30), so N
+    <= r max(r, 15), with equality for E8 (Humphreys, 3.18).  A W_J whose
+    count has not ended one level past that is not finite, and raises
+    RuntimeError.  When none is finite, or the rank is 1, J is empty:
+    lambda is rho and W_J(t) is 1.
     """
-    rank = gcm.rank
-    subs = [gcm.delete_node(label) for label in gcm.labels] if rank > 1 else []
-    if subs and is_finite_type(gcm):
-        candidates = [rank - 1]
-    else:
-        candidates = [k for k, sub in enumerate(subs) if is_finite_type(sub)]
-    if not candidates:
+    rank, factors = gcm.rank, {}
+    if rank > 1 and is_finite_type(gcm):
+        factors[rank - 1] = IntPolynomial(_growth(gcm.delete_node(gcm.labels[-1]), max_order))
+    elif rank > 1:
+        bound = (rank - 1) * max(rank - 1, 15)
+        for k, label in enumerate(gcm.labels):
+            sub = gcm.delete_node(label)
+            if is_finite_type(sub):
+                factors[k] = IntPolynomial(_growth(sub, bound + 1))
+                if factors[k].degree > bound:
+                    raise RuntimeError(f"W_J less node {label} is not finite: it reaches level {bound + 1}")
+    if not factors:
         return (1,) * rank, IntPolynomial((1,))
-    factors = {k: IntPolynomial(_growth(subs[k], max_order)) for k in candidates}
-    k = max(candidates, key=lambda k: factors[k](1))  # W_J(1) = |W_J| through max_order
+    k = max(factors, key=lambda k: factors[k](1))  # W_J(1) = |W_J|
     return tuple(int(mu == k) for mu in range(rank)), factors[k]
-
-
-def _factor(gcm: GeneralizedCartanMatrix, lam, max_order: int) -> IntPolynomial:
-    """W_J(t) through max_order, for J the nodes where ``lam`` is 0."""
-    if all(lam):
-        return IntPolynomial((1,))
-    return IntPolynomial(_growth(gcm.delete_node(gcm.labels[lam.index(1)]), max_order))
 
 
 def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
@@ -725,30 +725,26 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     Groups and Coxeter Groups*, 1.10 and 5.12), so W(t) = W^J(t) W_J(t).
     :func:`_count` walks W^J, the orbit of the lambda of :func:`_parabolic`,
     depth-first, and the tally's levels are checked as for the whole group.
-    Both factors hold levels 0..max_order, or fewer where the group ends
-    first, so their product is exact through max_order.
+    Both factors hold levels 0..max_order at least, or fewer where the group
+    ends first, so their product is exact through max_order.
 
     With a ``checkpoint`` path the walk is picked up from it (:func:`_start`)
     and, when there is anything to walk, saved there at most once per
     _SAVE_EVERY_S seconds and once when it ends; an answer from the stored
-    tally leaves the file as it is.  A stored walk keeps its lambda, and
-    W_J(t) is counted anew through max_order: the identity holds for every
-    J, so the lambda that :func:`_parabolic` would pick now does not matter.
+    tally leaves the file as it is.  lambda depends on the matrix alone, so
+    a stored walk is one of the same W^J.
     """
     stored = None
     if checkpoint is not None and Path(checkpoint).exists():
         stored = LevelCheckpoint.load(checkpoint, gcm)
-    if stored is None:
-        lam, factor = _parabolic(gcm, max_order)
-    else:
-        lam, factor = stored.lam, _factor(gcm, stored.lam, max_order)
+    lam, factor = _parabolic(gcm, max_order)
     C = _Cartan(gcm.entries, lam)
     tally, stack = _start(stored, max_order, gcm.rank)
     saving = checkpoint is not None and bool(stack)
 
     def save() -> float:
         LevelCheckpoint(
-            gcm_digest(gcm), lam, max_order,
+            gcm_digest(gcm), max_order,
             tally=np.asarray(tally, dtype=np.int64).reshape(-1, 3),
             chunks=np.asarray([(i, len(rows)) for i, rows in stack], dtype=np.int64).reshape(-1, 2),
             waiting=np.concatenate([rows for _, rows in stack] or [np.empty((0, gcm.rank), np.int64)]),
@@ -785,24 +781,25 @@ def enumerate_levels(
     :func:`_growth` counts the parabolic quotient W^J, the orbit of lambda
     = sum of omega_i over the nodes i off J, and multiplies its series by
     W_J(t), which comes from :func:`_growth` on the submatrix of J.  J is
-    all nodes but one, with W_J finite and as large as it can be
+    all nodes but one, with W_J finite, and the matrix alone fixes it
     (:func:`_parabolic`); HA3 to order 27 then walks 259,193 cosets of D4
-    instead of 6,676,006 elements.  :func:`_count` walks the canonical-parent
-    tree of W^J depth-first in chunks of at most _CHUNK_ROWS rows, so no
-    level is ever held whole, and level ``max_order`` is counted from its
-    parents' masks, not built.  The edge-count invariant and the growth
+    instead of 6,676,006 elements.  :func:`_count` walks the
+    canonical-parent tree of W^J depth-first in chunks of at most
+    _CHUNK_ROWS rows, so no level is ever held whole, and level
+    ``max_order`` is counted from its parents' masks, not built.  The edge-count invariant and the growth
     bound are checked for every level, the counted one included, once the
     walk ends.
 
     A checkpoint file, when given, holds the state of that walk
     (:class:`LevelCheckpoint`), which starts at the identity as a plain
     count does: the tally of every level so far and the chunks still
-    waiting on its stack.  It is rewritten at most once per _SAVE_EVERY_S
-    seconds and when the walk ends, and picked up transparently on the next
-    call (:func:`_start`): an order up to the stored one, or any order once
-    a finished walk ended early, resumes the stored walk cut to that order,
-    and is answered from the tally, leaving the file as it is, when no chunk
-    waits at or below it.  A larger order restarts the walk from the
+    waiting on its stack, but not lambda, which the matrix fixes.  It is
+    rewritten at most once per _SAVE_EVERY_S seconds and when the walk
+    ends, and picked up transparently on the next call (:func:`_start`): an
+    order up to the stored one, or any order once a finished walk ended
+    early, resumes the stored walk cut to that order, and is answered from
+    the tally, leaving the file as it is, when no chunk waits at or below
+    it.  A larger order restarts the walk from the
     identity.  A file written for a different matrix, or one whose contents
     do not fit together, raises CheckpointMismatchError.
 

@@ -127,10 +127,13 @@ def test_fit_from_gcm_file_reports_its_name(capsys, tmp_path):
 
 def test_growth_bad_gcm_file_exits_2(capsys, tmp_path):
     path = tmp_path / "bad.json"
-    # A bad diagonal, a JSON boolean entry, and labels that are not an array.
+    # A bad diagonal, a JSON boolean entry, labels that are not an array,
+    # and a matrix, then a row, that is not an array.
     for payload in ({"labels": ["0"], "matrix": [[3]]},
                     {"matrix": [[2, False], [False, 2]]},
-                    {"labels": "ab", "matrix": [[2, 0], [0, 2]]}):
+                    {"labels": "ab", "matrix": [[2, 0], [0, 2]]},
+                    {"matrix": 5},
+                    {"matrix": [5]}):
         path.write_text(json.dumps(payload))
         code, out = run(capsys, ["growth", "--gcm-file", str(path), "--order", "2"])
         assert code == 2 and out == ""
@@ -156,10 +159,33 @@ def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    # The first count of a last level is that of the quotient of A1 x A2,
-    # the first finite parabolic subgroup of HA2, by A1 x A1: its level 3
-    # is empty, and the counter reports -1 elements and -1 left descents.
-    assert captured.err.startswith("error: level 3: 0 up-edges lead in, -1 left descents")
+    # HA2 counts its finite parabolic subgroups whole, and each of those
+    # walks ends before the order it counts to, so the first count of a
+    # last level is that of HA2's own walk, by A3: its level 3 has three
+    # elements with a left descent each, and the counter loses one.
+    assert captured.err.startswith("error: level 3: 3 up-edges lead in, 2 left descents")
+
+
+def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeypatch):
+    # HA2 less its node -1 is affine A2.  Called finite, it is counted whole,
+    # and its count has not ended one level past the longest element a
+    # finite W_J of rank 3 can have.
+    affine = build_catalog("HA2").gcm.delete_node("-1")
+    real = weyl.is_finite_type
+    monkeypatch.setattr(weyl, "is_finite_type", lambda gcm: gcm == affine or real(gcm))
+    code = main(["growth", "--algebra", "HA2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err.startswith("error: W_J less node -1 is not finite: it reaches level 46")
+
+
+def test_growth_that_cannot_allocate_its_arrays_exits_2(capsys, monkeypatch):
+    # numpy refuses an array of 2**50 rows without touching memory.
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 1 << 50)
+    code = main(["growth", "--algebra", "HA2", "--order", "3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 # -------------------------------------------------------------- checkpoints
@@ -189,20 +215,6 @@ def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
         np.savez(fh, **data)
     code, out = run(capsys, ["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
     assert code == 4 and out == ""
-
-
-def test_growth_checkpoint_with_a_bad_lambda_exits_4(capsys, tmp_path):
-    # HA2 less its node -1 is affine A2: the stored walk would leave out an
-    # infinite W_J.
-    ck = tmp_path / "state.npz"
-    run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
-    data = dict(np.load(ck, allow_pickle=False))
-    data["lam"] = np.asarray([1, 0, 0, 0])
-    with open(ck, "wb") as fh:
-        np.savez(fh, **data)
-    code = main(["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
-    captured = capsys.readouterr()
-    assert code == 4 and captured.out == "" and "lambda (1, 0, 0, 0)" in captured.err
 
 
 def test_checkpoint_env_dir(capsys, tmp_path, monkeypatch):
