@@ -1,10 +1,14 @@
 #!/usr/bin/env python3
-"""Per-level timing and size table for the level enumerator.
+"""Per-level timing and size table for the walk that a count takes.
 
-The depth-first walk of the whole group visits each level in chunks.  The
-seconds of level i sum the chunks of level i: pairing and checking each
-chunk and building its children at level i + 1 (the chunks of the last
-level only count theirs).
+A count walks the parabolic quotient W^J, the orbit of the lambda that
+``weyl._parabolic`` picks, and multiplies its series by W_J(t).  This
+script makes that walk of W^J to the order, as a count does, and names J
+in its header; the walks that give W_J(t) are not timed.  The seconds of
+level i sum the chunks of level i: pairing and checking each chunk and
+building its children at level i + 1.  The chunks of the level before the
+order count that level's cosets from their masks instead, so it is never
+built and has no largest coordinate.
 
 Example:
     python scripts/profile_enumeration.py --algebra HA3 --order 27
@@ -16,28 +20,31 @@ import time
 import numpy as np
 
 from weylgrowth import build_catalog
-from weylgrowth.weyl import _Cartan, _count  # profiling the internals on purpose
+from weylgrowth.weyl import _Cartan, _count, _parabolic  # profiling the internals on purpose
 
 
 def profile(name: str, order: int) -> None:
     gcm = build_catalog(name).gcm
-    counts, coords, seconds = [0] * (order + 1), [0] * (order + 1), [0.0] * (order + 1)
+    lam, _ = _parabolic(gcm, order)
+    J = " ".join(label for label, x in zip(gcm.labels, lam) if not x)
+    print(f"{name}: walks W^J for J = {{{J}}}, lambda = {lam}")
+    coords, seconds, tally = [0] * (order + 1), [0.0] * (order + 1), []
     identity = np.zeros((1, gcm.rank), dtype=np.int64)
     start = t0 = time.perf_counter()
-    for i, rows in _count(_Cartan(gcm.entries), [(0, identity)], order + 1, []):
+    for i, rows in _count(_Cartan(gcm.entries, lam), [(0, identity)], order, tally):
         seconds[i] += time.perf_counter() - t0
-        counts[i] += len(rows)
         coords[i] = max(coords[i], int(rows.max()))
         t0 = time.perf_counter()
     total = 1
-    print(f"{'level':>5} {'count':>12} {'total':>12} {'max coord':>10} {'seconds':>8}")
+    print(f"{'level':>5} {'cosets':>12} {'total':>12} {'max coord':>10} {'seconds':>8}")
     for i in range(1, order + 1):
-        if not counts[i]:
-            print(f"group exhausted after level {i - 1}")
+        if i == len(tally):
+            print(f"W^J exhausted after level {i - 1}")
             break
-        total += counts[i]
-        print(f"{i:>5} {counts[i]:>12} {total:>12} {coords[i]:>10} {seconds[i]:>8.3f}")
-    print(f"total elements {total}, wall time {time.perf_counter() - start:.2f}s")
+        total += tally[i][0]
+        coord = coords[i] if i < order else "-"
+        print(f"{i:>5} {tally[i][0]:>12} {total:>12} {coord:>10} {seconds[i]:>8.3f}")
+    print(f"total cosets {total}, wall time {time.perf_counter() - start:.2f}s")
 
 
 if __name__ == "__main__":

@@ -96,9 +96,13 @@ class GeneralizedCartanMatrix:
     def delete_node(self, label: str) -> "GeneralizedCartanMatrix":
         """Subdiagram with one node removed (row and column dropped)."""
         k = self.index_of(label)
-        keep = [i for i in range(self.rank) if i != k]
-        entries = tuple(tuple(self.entries[i][j] for j in keep) for i in keep)
-        return GeneralizedCartanMatrix(entries, tuple(self.labels[i] for i in keep))
+        return self.subdiagram([i for i in range(self.rank) if i != k])
+
+    def subdiagram(self, nodes) -> "GeneralizedCartanMatrix":
+        """The rows, columns and labels of the nodes at the indices ``nodes``,
+        in that order."""
+        return GeneralizedCartanMatrix(tuple(tuple(self.entries[i][j] for j in nodes) for i in nodes),
+                                       tuple(self.labels[i] for i in nodes))
 
     def to_json_dict(self) -> dict:
         return {"labels": list(self.labels), "matrix": [list(r) for r in self.entries]}

@@ -14,13 +14,12 @@ dominant weight lambda = sum of omega_i over the nodes i off J, named by
 gamma = lambda - w(lambda).  Everything above holds with lambda_mu =
 <lambda, alpha_mu^vee>, 1 off J and 0 on J, in place of the 1 of rho: c =
 lambda_nu - pair[nu], mu is a left descent when pair[mu] > lambda_mu, and
-c = 0 is a move inside the coset, which is neither up nor down.  J = S less
-one node, with W_J finite: the last node for a finite W, and otherwise the
-one that leaves W_J the most elements, so the matrix alone fixes J.  W_J(t)
-is counted the same way on the submatrix of J, recursively, and when no
-such W_J is finite, J is empty and lambda is rho.  Every count walks a quotient, with
-or without a checkpoint; :func:`level_sets` and the full-history
-cross-check walk the whole group with the same :func:`_count`.
+c = 0 is a move inside the coset, which is neither up nor down.  The
+matrix alone fixes J (:func:`_parabolic` states the rule), and W_J(t) is a
+product of quotients walked the same way, one per prefix of J's nodes.
+Every count walks a quotient with :func:`_quotient`, with or without a
+checkpoint; :func:`level_sets` and the full-history cross-check walk the
+whole group with the same :func:`_count`.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -658,38 +657,48 @@ class LevelCheckpoint:
 
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
     """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
-    W_J that :func:`_growth` factors out of W; lambda depends on the matrix
-    alone, never on max_order.
+    W_J that a count factors out of W; lambda depends on the matrix alone,
+    never on max_order.
 
-    J is S less one node k, so lambda is the fundamental weight omega_k.
-    W(t) = W^J(t) W_J(t) holds for every J; J is chosen with W_J finite
-    (:func:`is_finite_type`) so that W_J(t), which :func:`_growth` counts on
-    the submatrix of J with a J of its own, recurses through one subgroup
-    per rank.  When W is finite every such W_J is, the last node is left
-    out (the catalogue's E8 goes to E7, E6, D5 and the A series), and W_J(t)
-    is counted through max_order.  Otherwise each finite W_J is counted
-    whole, and the one with the most elements is taken, the first on a
-    tie, which leaves W^J the fewest elements per level.  A finite Weyl
-    group of rank r has a longest element of length N = r h / 2 summed over
-    its components, and its Coxeter number h is at most max(2r, 30), so N
-    <= r max(r, 15), with equality for E8 (Humphreys, 3.18).  A W_J whose
-    count has not ended one level past that is not finite, and raises
-    RuntimeError.  When none is finite, or the rank is 1, J is empty:
-    lambda is rho and W_J(t) is 1.
+    J is S less one node k, with W_J finite (:func:`is_finite_type`), so
+    lambda is the fundamental weight omega_k.  When W is finite every such
+    W_J is; the last node is left out (the catalogue's E8 goes to E7), and
+    W_J(t) is counted through max_order.  Otherwise each finite W_J is
+    counted whole, and the one with the most elements is taken, the first
+    on a tie, which leaves W^J the fewest elements per level.  A finite
+    Weyl group of rank r has a longest element of length N = r h / 2 summed
+    over its components, and its Coxeter number h is at most max(2r, 30),
+    so N <= r max(r, 15), with equality for E8 (Humphreys, 3.18).  A W_J
+    whose count has not ended one level past that is not finite, and
+    raises RuntimeError.  When none is finite J is empty: lambda is rho and
+    W_J(t) is 1.
+
+    For J's nodes j_1 < ... < j_m and T_n = (j_1, ..., j_n), W_{T_n}(t) is
+    W_{T_{n-1}}(t) times the quotient W_{T_n}^{T_{n-1}}(t), which
+    :func:`_quotient` walks on the submatrix of T_n with lambda = omega_{j_n}.
+    Each W_T(t) is kept by its node tuple T for the call, so a prefix that
+    several W_J share is walked once.  :func:`is_finite_type` runs once on
+    W and, for an infinite W, once on each W_J, never on a subgroup of a W_J
+    already called finite.
     """
-    rank, factors = gcm.rank, {}
-    if rank > 1 and is_finite_type(gcm):
-        factors[rank - 1] = IntPolynomial(_growth(gcm.delete_node(gcm.labels[-1]), max_order))
-    elif rank > 1:
-        bound = (rank - 1) * max(rank - 1, 15)
-        for k, label in enumerate(gcm.labels):
-            sub = gcm.delete_node(label)
-            if is_finite_type(sub):
-                factors[k] = IntPolynomial(_growth(sub, bound + 1))
-                if factors[k].degree > bound:
-                    raise RuntimeError(f"W_J less node {label} is not finite: it reaches level {bound + 1}")
+    rank, factors, prefixes = gcm.rank, {}, {(): IntPolynomial((1,))}
+    bound = (rank - 1) * max(rank - 1, 15)
+    if is_finite_type(gcm):
+        order, left_out = max_order, [rank - 1]
+    else:
+        order = bound + 1
+        left_out = [k for k, label in enumerate(gcm.labels) if is_finite_type(gcm.delete_node(label))]
+    for k in left_out:
+        J = tuple(mu for mu in range(rank) if mu != k)
+        for n in range(1, rank):
+            if J[:n] not in prefixes:
+                quotient = _quotient(gcm.subdiagram(J[:n]), (0,) * (n - 1) + (1,), order)
+                prefixes[J[:n]] = IntPolynomial((prefixes[J[:n - 1]] * quotient).coeffs[:order + 1])
+        factors[k] = prefixes[J]
+        if factors[k].degree > bound:
+            raise RuntimeError(f"W_J less node {gcm.labels[k]} is not finite: it reaches level {bound + 1}")
     if not factors:
-        return (1,) * rank, IntPolynomial((1,))
+        return (1,) * rank, prefixes[()]
     k = max(factors, key=lambda k: factors[k](1))  # W_J(1) = |W_J|
     return tuple(int(mu == k) for mu in range(rank)), factors[k]
 
@@ -716,28 +725,21 @@ def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
     return stored.tally[:max_order + 1].tolist(), stack
 
 
-def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tuple[int, ...]:
-    """The growth coefficients of W through max_order, without the zeros
-    past a finite group's last level.
+def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None) -> IntPolynomial:
+    """W^J(t) through max_order, for the J that ``lam`` is 0 on: the level
+    counts of the depth-first walk of :func:`_count` over the orbit of
+    lambda, checked as for the whole group.
 
-    Every w is u v for one u in W^J, the shortest element of the coset
-    wW_J, and one v in W_J, and the lengths add (Humphreys, *Reflection
-    Groups and Coxeter Groups*, 1.10 and 5.12), so W(t) = W^J(t) W_J(t).
-    :func:`_count` walks W^J, the orbit of the lambda of :func:`_parabolic`,
-    depth-first, and the tally's levels are checked as for the whole group.
-    Both factors hold levels 0..max_order at least, or fewer where the group
-    ends first, so their product is exact through max_order.
-
-    With a ``checkpoint`` path the walk is picked up from it (:func:`_start`)
-    and, when there is anything to walk, saved there at most once per
-    _SAVE_EVERY_S seconds and once when it ends; an answer from the stored
-    tally leaves the file as it is.  lambda depends on the matrix alone, so
-    a stored walk is one of the same W^J.
+    A count takes lambda from :func:`_parabolic`, which walks each of its
+    prefix quotients here too, and multiplies the result by W_J(t)
+    (:func:`enumerate_levels`).  With a ``checkpoint`` path the walk is
+    picked up from it (:func:`_start`) and, when there is anything to walk,
+    saved there at most once per _SAVE_EVERY_S seconds and once when it
+    ends; an answer from the stored tally leaves the file as it is.  lambda
+    depends on the matrix alone, so a stored walk is one of the same W^J.
     """
-    stored = None
-    if checkpoint is not None and Path(checkpoint).exists():
-        stored = LevelCheckpoint.load(checkpoint, gcm)
-    lam, factor = _parabolic(gcm, max_order)
+    stored = (LevelCheckpoint.load(checkpoint, gcm)
+              if checkpoint is not None and Path(checkpoint).exists() else None)
     C = _Cartan(gcm.entries, lam)
     tally, stack = _start(stored, max_order, gcm.rank)
     saving = checkpoint is not None and bool(stack)
@@ -758,8 +760,7 @@ def _growth(gcm: GeneralizedCartanMatrix, max_order: int, checkpoint=None) -> tu
     _check_levels(tally, 1, min(max_order, len(tally)), gcm.rank)
     if saving:
         save()  # the walk has ended
-    quotient = IntPolynomial(tuple(count for count, _, _ in tally))
-    return (quotient * factor).coeffs[:max_order + 1]
+    return IntPolynomial(tuple(count for count, _, _ in tally))
 
 
 def enumerate_levels(
@@ -778,15 +779,18 @@ def enumerate_levels(
     group is finite and fully enumerated; the series stops at the last
     nonempty level and is marked complete.
 
-    :func:`_growth` counts the parabolic quotient W^J, the orbit of lambda
-    = sum of omega_i over the nodes i off J, and multiplies its series by
-    W_J(t), which comes from :func:`_growth` on the submatrix of J.  J is
-    all nodes but one, with W_J finite, and the matrix alone fixes it
-    (:func:`_parabolic`); HA3 to order 27 then walks 259,193 cosets of D4
-    instead of 6,676,006 elements.  :func:`_count` walks the
-    canonical-parent tree of W^J depth-first in chunks of at most
-    _CHUNK_ROWS rows, so no level is ever held whole, and level
-    ``max_order`` is counted from its parents' masks, not built.  The edge-count invariant and the growth
+    Every w is u v for one u in W^J, the shortest element of the coset
+    wW_J, and one v in W_J, and the lengths add (Humphreys, *Reflection
+    Groups and Coxeter Groups*, 1.10 and 5.12), so W(t) = W^J(t) W_J(t).
+    :func:`_parabolic` fixes J by the matrix alone and gives W_J(t), and
+    :func:`_quotient` counts W^J, the orbit of lambda = sum of omega_i over
+    the nodes i off J; HA3 to order 27 then walks 259,193 cosets of D4
+    instead of 6,676,006 elements.  Both factors hold levels 0..max_order
+    at least, or fewer where the group ends first, so their product is
+    exact through max_order.  :func:`_count` walks the canonical-parent
+    tree of W^J depth-first in chunks of at most _CHUNK_ROWS rows, so no
+    level is ever held whole, and level ``max_order`` is counted from its
+    parents' masks, not built.  The edge-count invariant and the growth
     bound are checked for every level, the counted one included, once the
     walk ends.
 
@@ -820,7 +824,8 @@ def enumerate_levels(
     if full_history_dedup:
         coeffs = tuple(map(len, _whole_levels(gcm, max_order, oracle=True)))
     else:
-        coeffs = _growth(gcm, max_order, checkpoint_path)
+        lam, factor = _parabolic(gcm, max_order)
+        coeffs = (_quotient(gcm, lam, max_order, checkpoint_path) * factor).coeffs[:max_order + 1]
     return GrowthSeries(coeffs, len(coeffs) <= max_order)
 
 

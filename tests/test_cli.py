@@ -147,8 +147,8 @@ def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    # The first walk counts A1, at the bottom of the recursion over
-    # parabolic subgroups; its one up-edge leads to no child.
+    # The first walk counts A1, the first node of HA2's first finite W_J;
+    # its one up-edge leads to no child.
     assert captured.err.startswith("error: level 1: 1 up-edges lead in, 0 left descents")
 
 
@@ -166,14 +166,16 @@ def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
     assert captured.err.startswith("error: level 3: 3 up-edges lead in, 2 left descents")
 
 
-def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeypatch):
+@pytest.mark.parametrize("order", [3, 60])
+def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeypatch, order):
     # HA2 less its node -1 is affine A2.  Called finite, it is counted whole,
     # and its count has not ended one level past the longest element a
-    # finite W_J of rank 3 can have.
+    # finite W_J of rank 3 can have.  That bound, 46, is the same below
+    # and past the order.
     affine = build_catalog("HA2").gcm.delete_node("-1")
     real = weyl.is_finite_type
     monkeypatch.setattr(weyl, "is_finite_type", lambda gcm: gcm == affine or real(gcm))
-    code = main(["growth", "--algebra", "HA2", "--order", "3"])
+    code = main(["growth", "--algebra", "HA2", "--order", str(order)])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
     assert captured.err.startswith("error: W_J less node -1 is not finite: it reaches level 46")

@@ -10,6 +10,7 @@ from weylgrowth import weyl
 from weylgrowth import (
     CheckpointMismatchError,
     GeneralizedCartanMatrix,
+    IntPolynomial,
     LevelTooLargeError,
     TruncatedSeries,
     build_catalog,
@@ -397,6 +398,42 @@ def test_finite_longest_elements_lie_within_the_whole_count_bound():
         length = sum(d - 1 for d in invariant_degrees(desc))
         assert length <= rank * max(rank, 15)
         assert (length == rank * max(rank, 15)) == (name == "E8")
+
+
+@pytest.mark.parametrize("n,name,node", [
+    (2, "A3", 2), (3, "D4", 3), (4, "D5", 3), (5, "E6", 4), (6, "E7", 4), (7, "E8", 4),
+])
+def test_each_ha_factors_out_its_largest_finite_subgroup_whole(n, name, node):
+    # W_J(t) is built from one quotient per prefix of J's nodes, and the
+    # prefixes shared by several W_J are walked once.  The W_J that HA_n
+    # keeps must still be the whole finite group, up to E8 at rank 9.
+    lam, factor = weyl._parabolic(build_catalog(f"HA{n}").gcm, 0)
+    assert lam == tuple(int(mu == node) for mu in range(n + 2))
+    assert factor == finite_poincare(invariant_degrees(build_catalog(name)))
+
+
+@pytest.mark.parametrize("name,order,walks", [("HA3", 27, 11), ("HA7", 4, 34), ("E8", 121, 8)])
+def test_a_count_tests_finiteness_once_per_subgroup_and_walks_each_prefix_once(
+        monkeypatch, name, order, walks):
+    # HA3 has four finite W_J, on the nodes (0, 2, 3, 4), (0, 1, 3, 4),
+    # (0, 1, 2, 4) and (0, 1, 2, 3), whose ten distinct prefixes are walked
+    # once each; W^J is the eleventh walk.  A finite W tests only itself.
+    calls = {"finite": 0, "walks": 0}
+    is_finite, count = weyl.is_finite_type, weyl._count
+
+    def counted(key, f):
+        def wrapper(*args, **kw):
+            calls[key] += 1
+            return f(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(weyl, "is_finite_type", counted("finite", is_finite))
+    monkeypatch.setattr(weyl, "_count", counted("walks", count))
+    gcm = build_catalog(name).gcm
+    enumerate_levels(gcm, order)
+    assert calls["finite"] <= gcm.rank + 1
+    assert (calls["finite"] == 1) == is_finite(gcm)
+    assert calls["walks"] == walks
 
 
 def test_deep_run_overflow_is_detected():
@@ -872,10 +909,14 @@ def test_profile_script_smoke(capsys):
     spec.loader.exec_module(module)
     module.profile("HA2", 6)
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0].split() == ["level", "count", "total", "max", "coord", "seconds"]
-    table = [line.split() for line in lines[1:7]]
-    assert [int(row[1]) for row in table] == list(HA2_GROWTH_PREFIX[1:7])
-    assert lines[7].startswith(f"total elements {sum(HA2_GROWTH_PREFIX[:7])},")
+    # HA2 walks the cosets of A3, its W_J on every node but 1; times
+    # W(A3)(t) they count the whole group.
+    assert lines[0].startswith("HA2: walks W^J for J = {-1 0 2},")
+    assert lines[1].split() == ["level", "cosets", "total", "max", "coord", "seconds"]
+    cosets = IntPolynomial((1, *(int(line.split()[1]) for line in lines[2:8])))
+    a3 = finite_poincare(invariant_degrees(build_catalog("A3")))
+    assert (cosets * a3).coeffs[:7] == HA2_GROWTH_PREFIX[:7]
+    assert lines[8].startswith(f"total cosets {cosets(1)},")
 
 
 def test_digest_distinguishes_algebras():
