@@ -5,20 +5,25 @@ any magnitude.  The fit machinery decides whether a finite Poincare
 polynomial divided by a growth series truncates to a polynomial, which is
 the rational-form question for hyperbolic growth series.
 
-Products and quotients are built one coefficient at a time, each as an
-exact dot product ``sum(map(mul, ...))`` that runs in C and skips zeros
-past each operand's last nonzero coefficient.  A product or quotient
-through ``order`` costs O(order * deg) integer multiplications when one
-operand is a polynomial of degree ``deg`` (for a quotient: the
-denominator, or the quotient itself once it truncates), and O(order**2),
-with the inner sums in C, when both are dense.
+Every product goes through one kernel, ``_convolve``: Kronecker
+substitution packs each operand into one integer, so a product costs one
+CPython big-integer multiplication (Karatsuba, in C) plus packing and
+unpacking linear in the operands' byte size.  Series division is a
+recurrence that builds one quotient coefficient per step as an exact dot
+product summed in C, starting at the numerator's first nonzero
+coefficient; ``ratio_fit`` runs it only to deg P + margin and finishes
+with one product and the division of a residual that is zero whenever the
+quotient truncates by then.  ``affine_poincare`` divides by each
+1 - t^m as a running sum along the residue classes mod m, O(order)
+additions in C per factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from itertools import accumulate, compress, count
+from operator import mul, sub
 
 __all__ = [
     "NonUnitConstantTermError",
@@ -50,23 +55,40 @@ class InsufficientOrderError(ValueError):
 
 def _degree(cs) -> int:
     """Index of the last nonzero entry of ``cs``; -1 when every entry is 0."""
-    k = len(cs) - 1
-    while k >= 0 and not cs[k]:
-        k -= 1
-    return k
+    return next(compress(range(len(cs) - 1, -1, -1), reversed(cs)), -1)
+
+
+def _offset(n: int, w: int) -> int:
+    """2**(8w - 1) in each of n base-2**(8w) digits."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
 def _convolve(a, b, n: int) -> list[int]:
-    """Coefficients 0..n-1 of the product of coefficient tuples ``a``, ``b``.
+    """Coefficients 0..n-1 of the product of integer sequences ``a``, ``b``.
 
-    Coefficient k is one dot product over the indices where both operands
-    have entries, so it costs O(min(k, len(a), len(b))) multiplications.
+    Kronecker substitution at base B = 2**(8w): each operand becomes the
+    one integer sum of c_i * B**i, the two are multiplied once, and the
+    product's digits are read back.  Packing and unpacking shift every
+    digit by B/2, so each shifted digit lies in [0, B) and none borrows
+    from the next.  That holds when B/2 exceeds every operand coefficient
+    and max|a| * max|b| * min(len(a), len(b)), which bounds every product
+    coefficient; w is the least width that does.  The cost is one CPython
+    big-integer product (Karatsuba, in C) of len(a) * w and len(b) * w
+    bytes, plus packing and unpacking linear in those byte counts.
     """
-    out = []
-    for k in range(min(n, len(a) + len(b) - 1)):
-        lo, hi = max(0, k - len(b) + 1), min(k + 1, len(a))
-        out.append(sum(map(mul, a[lo:hi], reversed(b[k - hi + 1 : k - lo + 1]))))
-    return out + [0] * (n - len(out))
+    m = min(n, len(a) + len(b) - 1)
+    if m <= 0 or not (a and b):
+        return [0] * n
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    w = max(top_a, top_b, top_a * top_b * min(len(a), len(b))).bit_length() // 8 + 1
+    half = 1 << (8 * w - 1)
+
+    def pack(cs):
+        raw = b"".join([(c + half).to_bytes(w, "little") for c in cs])
+        return int.from_bytes(raw, "little") - _offset(len(cs), w)
+
+    digits = ((pack(a) * pack(b) + _offset(m, w)) & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
+    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * m, w)] + [0] * (n - m)
 
 
 @dataclass(frozen=True)
@@ -80,7 +102,7 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(int, self.coeffs))
         object.__setattr__(self, "coeffs", cs[: _degree(cs) + 1])
 
     @property
@@ -161,7 +183,7 @@ class TruncatedSeries:
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(c) for c in self.coeffs)
+        cs = tuple(map(int, self.coeffs))
         if not cs:
             raise ValueError("a truncated series needs at least the constant term")
         object.__setattr__(self, "coeffs", cs)
@@ -182,7 +204,7 @@ def _series_prefix(x, order: int, role: str) -> tuple[int, ...]:
     Polynomials extend with zeros; anything else (a TruncatedSeries; a
     GrowthSeries is one) must already be known through ``order``.
     """
-    cs = tuple(int(c) for c in x.coeffs)
+    cs = tuple(map(int, x.coeffs))
     if isinstance(x, IntPolynomial):
         return cs[: order + 1] + (0,) * (order + 1 - len(cs[: order + 1]))
     if len(cs) < order + 1:
@@ -197,10 +219,9 @@ def _available_order(x) -> int | None:
 def series_mul(a, b) -> TruncatedSeries:
     """Cauchy product truncated to the shorter operand's order.
 
-    Zeros past either operand's last nonzero coefficient are skipped, so a
-    product through ``order`` with a polynomial of degree ``deg`` costs
-    O(order * deg) multiplications and one of two dense series O(order**2),
-    each coefficient summed in C.
+    Zeros past either operand's last nonzero coefficient are dropped and
+    the rest is one ``_convolve``: a single big-integer product of the
+    packed operands, plus packing and unpacking linear in their size.
     """
     orders = [o for o in (_available_order(a), _available_order(b)) if o is not None]
     if not orders:
@@ -217,13 +238,15 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
 
     The denominator's constant term must be +1 or -1 (true for every
     growth series), which keeps all quotient coefficients integral.
-    Quotient coefficient k is ``num[k]`` minus one dot product, summed in
-    C, of the denominator's coefficients 1..deg against the quotient
-    coefficients before k, skipping zeros past the denominator's degree
-    ``deg`` and past the quotient's last nonzero coefficient so far.  A
-    sparse or low-degree denominator therefore costs O(order * deg); a
-    dense one, such as a growth series, O(order * deg(quotient)) when the
-    quotient truncates and O(order**2) when it does not.
+    Every quotient coefficient before the numerator's first nonzero one,
+    at index ``s``, is zero; from there, quotient coefficient k is
+    ``num[k]`` minus one dot product, summed in C, of the denominator's
+    coefficients 1..deg against the quotient coefficients s..k-1, skipping
+    zeros past the denominator's degree ``deg`` and past the quotient's
+    last nonzero coefficient so far.  A zero numerator costs one O(order)
+    scan in C; a sparse or low-degree denominator O((order - s) * deg); a
+    dense one, such as a growth series, O((order - s) * deg(quotient)) when
+    the quotient truncates and O((order - s)**2) when it does not.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -233,10 +256,11 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
     if lead not in (1, -1):
         raise NonUnitConstantTermError(f"denominator constant term is {lead}, must be +1 or -1")
     tail = den[1 : _degree(den) + 1]
-    q, top = [], -1  # top: index of the last nonzero quotient coefficient so far
-    for k in range(order + 1):
+    start = next(compress(count(), num), order + 1)  # q[k] = 0 for every k < start
+    q, top = [0] * start, -1  # top: index of the last nonzero quotient coefficient so far
+    for k in range(start, order + 1):
         # q[k] = lead * (num[k] - sum of den[k - j] * q[j] over lo <= j <= top)
-        lo = max(0, k - len(tail))
+        lo = max(start, k - len(tail))
         acc = num[k] - sum(map(mul, tail[k - top - 1 : k - lo], reversed(q[lo : top + 1])))
         q.append(acc * lead)
         if acc:
@@ -277,11 +301,19 @@ class RatioFitResult:
 def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioFitResult:
     """Decide whether finite_poly / growth truncates to a polynomial.
 
-    The quotient is computed exactly to the growth series' order.  If the
-    final ``min_margin`` (or more) coefficients are all zero the verdict
-    is ``polynomial``; otherwise ``non_terminating`` with the offending
-    indices as evidence.  Requires order >= deg(finite_poly) + min_margin
-    so a polynomial of maximal plausible degree could still be margined.
+    The quotient P/S is computed exactly to the growth series' order.  If
+    the final ``min_margin`` (or more) coefficients are all zero the
+    verdict is ``polynomial``; otherwise ``non_terminating`` with the
+    offending indices as evidence.  Requires order >= deg(finite_poly) +
+    min_margin so a polynomial of maximal plausible degree could still be
+    margined.
+
+    The division's recurrence runs only through K = deg P + min_margin,
+    giving Q_K.  One ``_convolve`` gives the residual R = P - Q_K * S
+    through the order, and the quotient past K is R / S, because
+    P/S = Q_K + R/S and R vanishes through K.  When the quotient truncates
+    by K, R is zero and the fit costs O(K**2) plus one product; otherwise
+    dividing R costs what the full recurrence would.
     """
     if min_margin < 1:
         raise ValueError("min_margin must be >= 1")
@@ -294,7 +326,14 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
         raise InsufficientOrderError(
             f"growth order {order} < degree {finite_poly.degree} + margin {min_margin}"
         )
-    q = series_div(finite_poly, growth, order).coeffs
+    # Q_K = P/S through K = cut; then P/S = Q_K + R/S, where R = P - Q_K * S
+    # vanishes through K.
+    cut = finite_poly.degree + min_margin
+    head = series_div(finite_poly, growth, cut).coeffs
+    s = _series_prefix(growth, order, "growth series")
+    num = _series_prefix(finite_poly, order, "finite polynomial")
+    residual = list(map(sub, num, _convolve(head, s[: _degree(s) + 1], order + 1)))
+    q = head + series_div(TruncatedSeries(residual), growth, order).coeffs[cut + 1 :]
     last_nonzero = _degree(q)
     margin = order - last_nonzero
     if margin >= min_margin:
@@ -316,14 +355,20 @@ def finite_poincare(degrees) -> IntPolynomial:
 
 
 def affine_poincare(degrees, order: int) -> TruncatedSeries:
-    """Affine growth series: the finite polynomial times prod 1/(1 - t^(d-1))."""
+    """Affine growth series: the finite polynomial times prod 1/(1 - t^(d-1)).
+
+    Multiplying by 1/(1 - t^m) is a running sum along each residue class
+    mod m, so each factor is ``itertools.accumulate`` over the slices
+    ``cs[r::m]``: O(order) additions in C and no division.
+    """
     if order < 0:
         raise ValueError("order must be >= 0")
-    series = TruncatedSeries.from_polynomial(finite_poincare(degrees), order)
+    cs = list(TruncatedSeries.from_polynomial(finite_poincare(degrees), order).coeffs)
     for d in degrees:
-        one_minus = IntPolynomial((1,) + (0,) * (int(d) - 2) + (-1,))
-        series = series_div(series, one_minus, order)
-    return series
+        m = int(d) - 1
+        for r in range(min(m, order + 1)):
+            cs[r::m] = accumulate(cs[r::m])
+    return TruncatedSeries(tuple(cs))
 
 
 def expand_factored(factors) -> IntPolynomial:

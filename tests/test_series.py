@@ -22,6 +22,7 @@ from weylgrowth import (
     series_mul,
     weyl_orbit_oracle,
 )
+from weylgrowth.series import _convolve
 from weylgrowth.golden import (
     HA2_D4_CYCLOTOMIC_FACTORS,
     HA2_D4_CYCLOTOMIC_RESIDUAL,
@@ -293,6 +294,52 @@ def test_series_div_matches_schoolbook(data):
     assert series_div(num, den, order).coeffs == _reference_div(cnum, cden, order + 1)
 
 
+# Coefficients at the edges of a w-byte digit, which holds magnitudes below
+# 2^(8w - 1): 2^(8k - 1) is the smallest that needs k + 1 bytes, and
+# 2^(8k) - 1 and 2^(8k) sit on either side of the unsigned k-byte limit.
+_EDGES = [e for k in range(1, 10) for e in (2 ** (8 * k - 1), 2 ** (8 * k) - 1, 2 ** (8 * k))]
+
+
+@pytest.mark.parametrize("v", _EDGES)
+def test_products_at_digit_width_edges(v):
+    operands = [
+        ([v], [-v]),
+        ([v, -v, v], [-v, v]),
+        ([v] * 4, [v] * 3),
+        ([-v] * 3, [v, v, v, v, v]),
+        ([v, 0, -v, 1, -1], [-v, 1, v]),
+        ([1, -1, 1], [v, -v]),
+        ([0, 0, 0], [v, -v]),
+        ([-v], [0]),
+    ]
+    for a, b in operands:
+        for n in (1, len(a) + len(b) - 1, len(a) + len(b) + 2):
+            assert tuple(_convolve(a, b, n)) == _reference_mul(a, b, n)
+            assert tuple(_convolve(b, a, n)) == _reference_mul(a, b, n)
+        full = _reference_mul(a, b, len(a) + len(b) - 1)
+        assert IntPolynomial(tuple(a)) * IntPolynomial(tuple(b)) == IntPolynomial(full)
+        order = min(len(a), len(b)) - 1
+        want = _reference_mul(a, b, order + 1)
+        assert series_mul(TruncatedSeries(tuple(a)), TruncatedSeries(tuple(b))).coeffs == want
+        assert series_mul(TruncatedSeries(tuple(a[: order + 1])), IntPolynomial(tuple(b))).coeffs == want
+
+
+def test_convolve_empty_operand():
+    assert _convolve((), (1, 2), 3) == [0, 0, 0]
+    assert _convolve((5,), (), 2) == [0, 0]
+    assert _convolve((), (), 0) == []
+    assert (IntPolynomial(()) * IntPolynomial((1, 2))).is_zero
+
+
+@settings(max_examples=60, deadline=None)
+@given(degrees=st.lists(st.integers(2, 40), min_size=1, max_size=6), order=st.integers(0, 300))
+def test_affine_poincare_matches_division(degrees, order):
+    want = TruncatedSeries.from_polynomial(finite_poincare(degrees), order)
+    for d in degrees:
+        want = series_div(want, IntPolynomial((1,) + (0,) * (d - 2) + (-1,)), order)
+    assert affine_poincare(degrees, order) == want
+
+
 # ---------------------------------------------------------------- ratio fit
 
 def test_ratio_fit_quotients_ha2(ha2_growth_24):
@@ -343,6 +390,43 @@ def test_ratio_fit_non_terminating_synthetic():
     assert result.quotient is None and result.degree is None
     assert result.verdict == "non_terminating"
     assert result.evidence and all(8 <= k <= 12 for k in result.evidence)
+
+
+def _reference_fit(cp, cs, margin):
+    """The four RatioFitResult fields from the full schoolbook quotient."""
+    order = len(cs) - 1
+    q = _reference_div(cp, cs, order + 1)
+    last = max((k for k, c in enumerate(q) if c), default=-1)
+    if order - last >= margin:
+        return IntPolynomial(q[: last + 1]), order - last, (), order
+    return None, order - last, tuple(k for k in range(order - margin + 1, order + 1) if q[k]), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ratio_fit_matches_schoolbook(data):
+    margin = data.draw(st.integers(1, 6))
+    cp = [1] + data.draw(st.lists(_ENTRY, max_size=8))
+    cp[-1] = cp[-1] or 1
+    k = len(cp) - 1 + margin  # the fit's recurrence stops at deg P + margin
+    shape = data.draw(st.sampled_from(["dense", "truncating", "nudged"]))
+    if shape == "dense":
+        # A random growth series: the quotient almost never truncates.
+        order = data.draw(st.integers(k, k + 30))
+        cs = [1] + data.draw(st.lists(_ENTRY, min_size=order, max_size=order))
+    else:
+        # S = P / Q, so P / S = Q, whose degree may lie past K.
+        cq = [1] + data.draw(st.lists(_ENTRY, max_size=k + 6))
+        cq[-1] = cq[-1] or 1
+        order = data.draw(st.integers(k, len(cq) + margin + 8))
+        cs = list(_reference_div(cp, cq, order + 1))
+        if shape == "nudged" and order > k:
+            # One coefficient past K changed: the quotient agrees with Q up to
+            # there, so its tail starts again after a run of zeros.
+            cs[data.draw(st.integers(k + 1, order))] += data.draw(st.sampled_from([-2, -1, 1, 3]))
+    result = ratio_fit(IntPolynomial(tuple(cp)), TruncatedSeries(tuple(cs)), margin)
+    got = (result.quotient, result.margin_checked, result.evidence, result.order_checked)
+    assert got == _reference_fit(cp, cs, margin)
 
 
 def test_ratio_fit_validates_inputs(ha2_growth_24):
