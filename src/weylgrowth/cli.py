@@ -73,9 +73,9 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
                                         f"(relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="count the whole group instead of a parabolic quotient, hold every level whole, "
-                        "and check each one, as a set, against an independent breadth-first search over "
-                        "the orbit of rho that deduplicates against every earlier level")
+                   help="check each walk of the count, the parabolic quotient and each prefix quotient of "
+                        "its subgroup: hold the walk's levels whole and compare each one, as a set, with an "
+                        "independent breadth-first search over the orbit of the walk's weight")
 
 
 def _build_parser() -> argparse.ArgumentParser:

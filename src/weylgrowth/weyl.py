@@ -18,8 +18,8 @@ c = 0 is a move inside the coset, which is neither up nor down.  The
 matrix alone fixes J (:func:`_parabolic` states the rule), and W_J(t) is a
 product of quotients walked the same way, one per prefix of J's nodes.
 Every count walks a quotient with :func:`_quotient`, with or without a
-checkpoint; :func:`level_sets` and the full-history cross-check walk the
-whole group with the same :func:`_count`.
+checkpoint and with or without the full-history cross-check;
+:func:`level_sets` walks the whole group with the same :func:`_count`.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -47,8 +47,10 @@ included.
 One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
 Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
-the levels of the orbit of rho, and the full-history cross-check of
-:func:`enumerate_levels` compares every whole level with it as a set.
+the levels of the orbit of rho.  The full-history cross-check of
+:func:`enumerate_levels` runs the walks a count takes, W^J and each prefix
+quotient of W_J, and compares every whole level of each, as a set, with
+the orbit of its own lambda.
 """
 
 from __future__ import annotations
@@ -95,10 +97,11 @@ _CHUNK_ROWS = 1 << 14
 _SAVE_EVERY_S = 60.0
 
 # Bytes the orbit oracle holds per state it has found, for the memory
-# budget of the full-history cross-check: the state's tuple of Python ints
-# in ``seen`` and its share of the frontier.  tracemalloc read peaks of 285,
-# 275 and 252 bytes per state on HA2 to order 8 and HA3 to orders 12 and 18
-# (557, 11,720 and 158,931 states; Python 3.11.7).
+# budget of each walk the full-history cross-check holds whole: the
+# state's tuple of Python ints in ``seen`` and its share of the frontier.
+# tracemalloc read peaks of 285, 275 and 252 bytes per state on the orbits
+# of rho of HA2 to order 8 and HA3 to orders 12 and 18 (557, 11,720 and
+# 158,931 states; Python 3.11.7).
 _ORACLE_STATE_BYTES = 288
 
 
@@ -490,22 +493,24 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
-def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = False) -> list:
-    """Levels 0..max_order of the whole group (J empty), one array of rows
-    in walk order per level, up to the last nonempty one.
+def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = False, lam=None) -> list:
+    """Levels 0..max_order of W^J, the orbit of ``lam`` (1 off J and 0 on
+    J; the default, rho, is the whole group), one array of rows in walk
+    order per level, up to the last nonempty one.
 
     :func:`_count` walks to max_order + 1, so that level max_order is built
     and only the level after it is counted, and every chunk it yields is
     copied.  Once the rows held pass :func:`_memory_budget`,
     :class:`LevelTooLargeError` names the level of the chunk copied last.
-    With ``oracle`` every level, the empty one that ends a finite group
-    included, must equal that of :func:`_orbit_levels` as a set of rows.
+    With ``oracle`` every level, the empty one that ends a finite W^J
+    included, must equal that of :func:`_orbit_levels` for the same lambda
+    as a set of rows.
     The oracle keeps every state it has found, so each level it yields is
     charged to the same budget, at _ORACLE_STATE_BYTES a state, on top of
     the rows; past the budget :class:`LevelTooLargeError` names that level.
     The tally is checked as a count's is, once the walk ends.
     """
-    C = _Cartan(gcm.entries)
+    C = _Cartan(gcm.entries, lam)
     tally, chunks, held, budget = [], [], 0, _memory_budget()
     for i, rows in _count(C, [(0, np.zeros((1, C.rank), dtype=np.int64))], max_order + 1, tally):
         if i == len(chunks):
@@ -516,7 +521,7 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
             raise LevelTooLargeError(i, held, budget)
     levels = [np.concatenate(level) for level in chunks]
     if oracle:
-        for k, expected in enumerate(_orbit_levels(gcm, max_order), 1):
+        for k, expected in enumerate(_orbit_levels(gcm, max_order, lam), 1):
             held += len(expected) * _ORACLE_STATE_BYTES
             if held > budget:
                 raise LevelTooLargeError(k, held, budget)
@@ -541,7 +546,9 @@ class LevelCheckpoint:
     resumed below its stored order (:func:`_start`) may leave a chunk
     waiting at its own order.  Every level below :attr:`done` is fully
     counted.  :meth:`load` rejects a file whose parts do not fit together,
-    or do not match the :attr:`content_digest` stored with them.
+    or do not match the :attr:`content_digest` stored with them; the count
+    that loads it, which knows lambda, then checks that each waiting row is
+    an element of W^J of its level (:func:`_check_waiting_rows`).
     """
 
     algebra_digest: str
@@ -655,7 +662,8 @@ class LevelCheckpoint:
         return ""
 
 
-def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
+def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
+               oracle: bool = False) -> tuple[tuple[int, ...], IntPolynomial]:
     """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
     W_J that a count factors out of W; lambda depends on the matrix alone,
     never on max_order.
@@ -679,7 +687,8 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
     Each W_T(t) is kept by its node tuple T for the call, so a prefix that
     several W_J share is walked once.  :func:`is_finite_type` runs once on
     W and, for an infinite W, once on each W_J, never on a subgroup of a W_J
-    already called finite.
+    already called finite.  ``oracle`` is passed to every :func:`_quotient`
+    walk.
     """
     rank, factors, prefixes = gcm.rank, {}, {(): IntPolynomial((1,))}
     bound = (rank - 1) * max(rank - 1, 15)
@@ -692,7 +701,7 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
         J = tuple(mu for mu in range(rank) if mu != k)
         for n in range(1, rank):
             if J[:n] not in prefixes:
-                quotient = _quotient(gcm.subdiagram(J[:n]), (0,) * (n - 1) + (1,), order)
+                quotient = _quotient(gcm.subdiagram(J[:n]), (0,) * (n - 1) + (1,), order, None, oracle)
                 prefixes[J[:n]] = IntPolynomial((prefixes[J[:n - 1]] * quotient).coeffs[:order + 1])
         factors[k] = prefixes[J]
         if factors[k].degree > bound:
@@ -725,10 +734,43 @@ def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
     return stored.tally[:max_order + 1].tolist(), stack
 
 
-def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None) -> IntPolynomial:
+def _check_waiting_rows(C: _Cartan, stored: LevelCheckpoint, path) -> None:
+    """Raise CheckpointMismatchError unless every waiting row of ``stored``
+    at level i is lambda - w(lambda) for a w in W^J of length i.
+
+    The rows of each level are reflected down i times together, with one
+    :func:`_pairings` call a step, each row at its first left descent mu
+    (pair[mu] > lam[mu]), where c = lam[mu] - pair[mu] < 0.  Every row must
+    have a left descent at every step, keep its coordinates nonnegative and
+    be 0 at the end.  Such a row is the identity reflected back up along i
+    descents, so an element of W^J of length i.  A row past the coordinate
+    budget raises OverflowError before it is paired, as the walk would on
+    popping it.  A valid row that the tally already counts passes: only the
+    edge-count invariant catches it, once the walk ends.
+    """
+    levels = np.repeat(stored.chunks[:, 0], stored.chunks[:, 1])
+    for i in sorted(set(stored.chunks[:, 0].tolist())):  # np.unique's first call imports numpy.ma: 18 ms
+        rows = stored.waiting[levels == i]
+        _check_coordinate_budget(C, rows)
+        columns, descended = np.arange(len(rows)), True
+        for _ in range(i):
+            pair = _pairings(C, rows)
+            mu = (pair > C.lam_column).argmax(axis=0)  # node 0 where there is no descent
+            c = C.lam_column[mu, 0] - pair[mu, columns]
+            rows[columns, mu] += c
+            descended = bool((c < 0).all()) and int(rows.min()) >= 0
+            if not descended:
+                break
+        if not descended or rows.any():
+            raise CheckpointMismatchError(f"inconsistent checkpoint {path}: a waiting row of level {i} "
+                                          f"does not reflect down to the identity in {i} steps")
+
+
+def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None,
+              oracle: bool = False) -> IntPolynomial:
     """W^J(t) through max_order, for the J that ``lam`` is 0 on: the level
     counts of the depth-first walk of :func:`_count` over the orbit of
-    lambda, checked as for the whole group.
+    lambda, checked by the edge-count invariant and the growth bound.
 
     A count takes lambda from :func:`_parabolic`, which walks each of its
     prefix quotients here too, and multiplies the result by W_J(t)
@@ -736,11 +778,20 @@ def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None
     picked up from it (:func:`_start`) and, when there is anything to walk,
     saved there at most once per _SAVE_EVERY_S seconds and once when it
     ends; an answer from the stored tally leaves the file as it is.  lambda
-    depends on the matrix alone, so a stored walk is one of the same W^J.
+    depends on the matrix alone, so a stored walk is one of the same W^J,
+    and its waiting rows are checked to be elements of it before anything
+    is walked (:func:`_check_waiting_rows`).
+
+    With ``oracle`` the walk holds every level whole instead, and each one
+    must equal the level of the orbit oracle as a set (:func:`_whole_levels`).
     """
+    if oracle:
+        return IntPolynomial(tuple(map(len, _whole_levels(gcm, max_order, True, lam))))
     stored = (LevelCheckpoint.load(checkpoint, gcm)
               if checkpoint is not None and Path(checkpoint).exists() else None)
     C = _Cartan(gcm.entries, lam)
+    if stored is not None:
+        _check_waiting_rows(C, stored, checkpoint)
     tally, stack = _start(stored, max_order, gcm.rank)
     saving = checkpoint is not None and bool(stack)
 
@@ -804,16 +855,18 @@ def enumerate_levels(
     early, resumes the stored walk cut to that order, and is answered from
     the tally, leaving the file as it is, when no chunk waits at or below
     it.  A larger order restarts the walk from the
-    identity.  A file written for a different matrix, or one whose contents
-    do not fit together, raises CheckpointMismatchError.
+    identity.  A file written for a different matrix, one whose contents
+    do not fit together, or one with a waiting row that is no element of
+    W^J of its level (:func:`_check_waiting_rows`) raises
+    CheckpointMismatchError before anything is walked.
 
-    ``full_history_dedup`` walks the whole group instead, J empty and
-    lambda = rho, with the same :func:`_count`: it holds every level whole
-    (:func:`_whole_levels`) and checks each one, as a set, against the
-    level of the orbit oracle (:func:`_orbit_levels`), which deduplicates
-    against every earlier level; a mismatch raises RuntimeError.  Held
-    levels and oracle states past the memory budget raise
-    :class:`LevelTooLargeError`.
+    ``full_history_dedup`` checks the walks the count takes, W^J and every
+    prefix quotient of W_J, without changing the product: each walk holds
+    its levels whole (:func:`_whole_levels`) and checks each one, as a set,
+    against the level of the orbit oracle of its own lambda
+    (:func:`_orbit_levels`), which deduplicates against every earlier
+    level; a mismatch raises RuntimeError.  The levels and oracle states
+    one walk holds past the memory budget raise :class:`LevelTooLargeError`.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -821,12 +874,9 @@ def enumerate_levels(
         raise ValueError("workers must be >= 1")
     if full_history_dedup and checkpoint_path is not None:
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
-    if full_history_dedup:
-        coeffs = tuple(map(len, _whole_levels(gcm, max_order, oracle=True)))
-    else:
-        lam, factor = _parabolic(gcm, max_order)
-        coeffs = (_quotient(gcm, lam, max_order, checkpoint_path) * factor).coeffs[:max_order + 1]
-    return GrowthSeries(coeffs, len(coeffs) <= max_order)
+    lam, factor = _parabolic(gcm, max_order, full_history_dedup)
+    coeffs = (_quotient(gcm, lam, max_order, checkpoint_path, full_history_dedup) * factor).coeffs
+    return GrowthSeries(coeffs[:max_order + 1], len(coeffs) <= max_order)
 
 
 def level_sets(gcm: GeneralizedCartanMatrix, max_order: int) -> list[np.ndarray]:
@@ -836,9 +886,10 @@ def level_sets(gcm: GeneralizedCartanMatrix, max_order: int) -> list[np.ndarray]
     Returns one (n, rank) array of lexicographically sorted rows per level,
     starting with the zero vector at level 0, from the depth-first walk of
     :func:`_count`, copied into whole levels by :func:`_whole_levels`, which
-    checks every level.  Stops early at the first empty level.  The
-    cross-check against the orbit oracle runs the same walk under
-    ``enumerate_levels(..., full_history_dedup=True)``.
+    checks every level.  Stops early at the first empty level.  The same
+    function, given a count's lambda, holds the walks that
+    ``enumerate_levels(..., full_history_dedup=True)`` checks against the
+    orbit oracle.
 
     Every level is held whole, and the rows held must fit the memory budget
     (half the physical memory); otherwise :class:`LevelTooLargeError`, a

@@ -16,6 +16,7 @@ from weylgrowth import (
     load_gcm_file,
     validate_gcm,
     weyl_group_order,
+    weyl_orbit_oracle,
 )
 
 
@@ -216,7 +217,7 @@ def test_finite_type_fails_for_a_matrix_that_is_not_symmetrisable():
     # symmetric around the cycle.
     gcm = validate_gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
     assert not is_finite_type(gcm)
-    assert not enumerate_levels(gcm, 12, full_history_dedup=True).complete
+    assert not weyl_orbit_oracle(gcm, 12).complete
 
 
 @st.composite
@@ -235,9 +236,10 @@ def rank_three_gcm(draw):
 @given(rank_three_gcm())
 def test_finite_type_agrees_with_a_whole_group_count(gcm):
     # A finite Weyl group of rank at most 3 has a longest element of
-    # length at most 9 (B3, C3), so the count of the whole group, J empty,
-    # ends by order 10 exactly when the group is finite.
-    assert is_finite_type(gcm) == enumerate_levels(gcm, 10, full_history_dedup=True).complete
+    # length at most 9 (B3, C3), so the orbit of rho, which is the whole
+    # group, ends by order 10 exactly when the group is finite.  The orbit
+    # oracle calls nothing that calls is_finite_type.
+    assert is_finite_type(gcm) == weyl_orbit_oracle(gcm, 10).complete
 
 
 # ---------------------------------------------------------------- file I/O

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, level_sets, weyl
+from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, weyl
 from weylgrowth.cli import main
 
 
@@ -77,15 +77,23 @@ def test_growth_debug_dedup_over_the_memory_budget_exits_2(capsys, monkeypatch):
 
 
 def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monkeypatch):
-    # HA2 levels 0..8 hold 17,824 bytes of rows, inside 65,536 bytes; the
-    # orbit oracle's states, charged at _ORACLE_STATE_BYTES each, take the
-    # full-history check past it.
-    monkeypatch.setattr(weyl, "_memory_budget", lambda: 65536)
+    # HA2 counts its quotient by A3, the orbit of lambda = (0, 0, 1, 0).
+    # Its levels 0..8 hold 70 rows of 4 coordinates, 2,240 bytes, inside
+    # 16,384 bytes; the orbit oracle's 69 states of levels 1..8, charged at
+    # _ORACLE_STATE_BYTES each, take the full-history check of that walk
+    # past it at level 8.  The prefix quotients of A3 hold under 1,000
+    # bytes each, oracle states included.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 16384)
     gcm = build_catalog("HA2").gcm
-    assert tuple(map(len, level_sets(gcm, 8))) == (1, 4, 10, 20, 35, 57, 89, 136, 205)
-    with pytest.raises(LevelTooLargeError, match="budget of 65536 bytes") as info:
+    lam = (0, 0, 1, 0)
+    assert weyl._parabolic(gcm, 8)[0] == lam
+    levels = weyl._whole_levels(gcm, 8, False, lam)
+    assert tuple(map(len, levels)) == (1, 1, 2, 3, 5, 7, 11, 16, 24)
+    assert sum(level.nbytes for level in levels) == 2240
+    with pytest.raises(LevelTooLargeError, match="budget of 16384 bytes") as info:
         enumerate_levels(gcm, 8, full_history_dedup=True)
-    assert info.value.bytes_needed > 65536 and 1 <= info.value.level <= 8
+    assert info.value.level == 8
+    assert info.value.bytes_needed == 2240 + 69 * weyl._ORACLE_STATE_BYTES
     code = main(["growth", "--algebra", "HA2", "--order", "8", "--debug-full-dedup"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

@@ -1,5 +1,6 @@
 import importlib.util
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +26,7 @@ from weylgrowth import (
     weyl_group_order,
     weyl_orbit_oracle,
 )
+from weylgrowth.cli import main
 from weylgrowth.golden import HA3_GROWTH_REFERENCE
 
 # Derived by the orbit oracle and cross-checked against the level BFS.
@@ -153,6 +155,24 @@ def test_full_history_check_catches_a_repeated_row(monkeypatch):
     monkeypatch.setattr(weyl, "_children", repeat_first)
     gcm = build_catalog("HA2").gcm
     with pytest.raises(RuntimeError, match="level 1 differs from the orbit oracle"):
+        enumerate_levels(gcm, 8, full_history_dedup=True)
+
+
+def test_full_history_check_walks_the_quotients_a_count_takes(monkeypatch):
+    # A _children that loses the last child of each chunk whenever lambda
+    # has a zero breaks the walk of every proper quotient, which every
+    # count of HA2 takes, and leaves the whole group, lambda = rho, alone.
+    # The check must run the walks the count runs, not the whole group.
+    children = weyl._children
+
+    def drop_last_in_a_quotient(C, *args, **kwargs):
+        rows = children(C, *args, **kwargs)
+        return rows[:-1] if 0 in C.lam else rows
+
+    monkeypatch.setattr(weyl, "_children", drop_last_in_a_quotient)
+    gcm = build_catalog("HA2").gcm
+    assert tuple(map(len, level_sets(gcm, 8))) == HA2_GROWTH_PREFIX[:9]
+    with pytest.raises(RuntimeError, match="differs from the orbit oracle"):
         enumerate_levels(gcm, 8, full_history_dedup=True)
 
 
@@ -339,10 +359,12 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     # walks the quotient W^J by the W_J that _parabolic picks.  Its levels,
     # built breadth-first, must be those of the orbit of lambda, and its
     # depth-first count their sizes.  Its series times W_J(t) must be the
-    # count of the whole group (J empty), which the full-history check ties
-    # to the orbit of rho, and the oracle's count.  W_J, counted whole on
-    # its own, must end, and W_J(t) is that whole count for an infinite W
-    # and its levels through the order for a finite one.
+    # orbit oracle's count of the whole group, the sizes of the whole-group
+    # levels of level_sets, and the count under the full-history check of
+    # the walks it takes.  W_J, whose orbit of rho must end, gives W_J(t):
+    # that whole count for an infinite W and its levels through the order
+    # for a finite one.  Neither reference calls _parabolic or
+    # is_finite_type.
     order = 8
     lam, factor = weyl._parabolic(gcm, order)
     C = weyl._Cartan(gcm.entries, lam)
@@ -358,13 +380,14 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     for _ in weyl._count(C, [(0, identity)], order, tally):  # counts level order
         pass
     assert [count for count, _, _ in tally] == list(map(len, levels))
-    whole = enumerate_levels(gcm, order, full_history_dedup=True)
+    whole = weyl_orbit_oracle(gcm, order)
+    assert tuple(map(len, level_sets(gcm, order))) == whole.coeffs
     assert enumerate_levels(gcm, order) == whole
-    assert weyl_orbit_oracle(gcm, order) == whole
+    assert enumerate_levels(gcm, order, full_history_dedup=True) == whole
     if factor.degree > 0:
         # Of rank 3 at most, so its longest element has length 9 at most.
         sub = gcm.delete_node(gcm.labels[lam.index(1)])
-        sub_series = enumerate_levels(sub, 10, full_history_dedup=True)
+        sub_series = weyl_orbit_oracle(sub, 10)
         assert sub_series.complete
         whole = not is_finite_type(gcm)
         assert factor.coeffs == sub_series.coeffs[:None if whole else order + 1]
@@ -884,6 +907,76 @@ def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch,
     _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match=f"inconsistent.*{problem}"):
         enumerate_levels(gcm, 12, ck)
+
+
+def _forged_waiting_rows(state, gcm, forgery):
+    """The waiting rows of ``state``, whose chunks are at levels 6, 8 and 9,
+    with the first row made no element of W^J ("bumped"), the identity, an
+    element of level 5 ("shallow") or 7 ("deep"), or swapped with the first
+    row of the next chunk, at level 8; the rows stay nonnegative and
+    distinct."""
+    rows, next_chunk = state.waiting.copy(), int(state.chunks[0, 1])
+    if forgery == "bumped":
+        rows[0, 0] += 1
+    elif forgery == "identity":
+        rows[0] = 0
+    elif forgery in ("shallow", "deep"):
+        level = 5 if forgery == "shallow" else 7
+        rows[0] = weyl._whole_levels(gcm, level, False, weyl._parabolic(gcm, level)[0])[level][0]
+    else:
+        rows[[0, next_chunk]] = rows[[next_chunk, 0]]
+    return rows
+
+
+@pytest.mark.parametrize("forgery", ["bumped", "identity", "shallow", "deep", "swapped"])
+def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp_path, capsys,
+                                                                forgery):
+    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # 12, leaves chunks waiting at levels 6, 8 and 9.  One waiting row is
+    # replaced and the file saved again, so its digest, which is unkeyed,
+    # matches.  The resumed count must refuse it, exit 4, before its walk
+    # starts: the counts of W_J, of lower rank, are the only walks.
+    gcm = build_catalog("HA2").gcm
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    ck = tmp_path / "ha2.npz"
+    with pytest.raises(_Interrupt):
+        _interrupted(gcm, 12, ck, 10)
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+    assert state.chunks[:, 0].tolist() == [6, 8, 9]
+    replace(state, waiting=_forged_waiting_rows(state, gcm, forgery)).save(ck)
+    assert weyl.LevelCheckpoint.load(ck, gcm).content_digest != state.content_digest
+    count, ranks = weyl._count, []
+
+    def count_ranks(C, *args):
+        ranks.append(C.rank)
+        return count(C, *args)
+
+    monkeypatch.setattr(weyl, "_count", count_ranks)
+    with pytest.raises(CheckpointMismatchError, match="inconsistent.*does not reflect down to the identity"):
+        enumerate_levels(gcm, 12, ck)
+    assert main(["growth", "--algebra", "HA2", "--order", "12", "--checkpoint", str(ck)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not reflect down" in captured.err
+    assert ranks and gcm.rank not in ranks
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_gcm())
+def test_waiting_row_check_accepts_each_level_of_w_j_at_its_own_level_only(gcm):
+    # Each level i of W^J, from the walk to order 6, passes as waiting rows
+    # of level i, and fails as rows of level i - 1 or i + 1.
+    lam = weyl._parabolic(gcm, 6)[0]
+    C = weyl._Cartan(gcm.entries, lam)
+    for i, rows in enumerate(weyl._whole_levels(gcm, 6, False, lam)[1:], 1):
+        for level in (i - 1, i, i + 1):
+            state = weyl.LevelCheckpoint("", 7, np.zeros((0, 3), np.int64),
+                                         np.asarray([[level, len(rows)]]), rows)
+            if level == i:
+                weyl._check_waiting_rows(C, state, "ck")
+            else:
+                with pytest.raises(CheckpointMismatchError, match="does not reflect down"):
+                    weyl._check_waiting_rows(C, state, "ck")
 
 
 def test_checkpoint_save_syncs_before_replace(tmp_path, monkeypatch):
