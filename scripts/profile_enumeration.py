@@ -2,9 +2,10 @@
 """Per-level timing and size table for the walk that a count takes.
 
 A count walks the parabolic quotient W^J, the orbit of the lambda that
-``weyl._parabolic`` picks, and multiplies its series by W_J(t).  This
-script makes that walk of W^J to the order, as a count does, and names J
-in its header; the walks that give W_J(t) are not timed.  The seconds of
+``weyl._parabolic`` picks, and multiplies its series by W_J(t), which
+comes from the heights of W_J's positive roots with no walk.  This script
+makes that one walk of W^J to the order, as a count does, and names J in
+its header; the choice of J and W_J(t) are not timed.  The seconds of
 level i sum the chunks of level i: pairing and checking each chunk and
 building its children at level i + 1.  The chunks of the level before the
 order count that level's cosets from their masks instead, so it is never

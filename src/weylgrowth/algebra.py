@@ -1,7 +1,7 @@
 """Generalized Cartan matrices and the algebra catalog.
 
 Everything here is exact: matrices are integer tuples, and the finite-type
-test :func:`is_finite_type` works over ``fractions.Fraction``.
+test :func:`is_finite_type` eliminates in integers.
 """
 
 from __future__ import annotations
@@ -265,14 +265,15 @@ def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
     The Weyl group is the product of those of the connected components,
     and a component's is finite exactly when its matrix is symmetrisable,
     with d_i * a_ij = d_j * a_ji for some positive d, and the symmetrised
-    matrix (d_i * a_ij) is positive definite (Kac, *Infinite dimensional
-    Lie algebras*, Prop. 4.9).  The d_i are found one connected
+    matrix DA = (d_i * a_ij) is positive definite (Kac, *Infinite
+    dimensional Lie algebras*, Prop. 4.9).  The d_i are found one connected
     component at a time, starting from 1 at the first node of each, and
     every bond is checked against them.  Sylvester's criterion then asks
-    that every leading principal minor be positive; those minors are the
-    running products of the pivots of Gaussian elimination without row
-    exchanges, so all pivots must be positive.  ``Fraction``s keep every
-    step exact.
+    that every leading principal minor of DA be positive.  The leading
+    k-by-k block of DA is that of A with its rows scaled by d_1 .. d_k, all
+    positive, so it is enough that those minors of A itself are positive.
+    Fraction-free (Bareiss) elimination of A without row exchanges gives
+    each of them as a pivot, in integers, with every division exact.
     """
     a = gcm.entries
     n = gcm.rank
@@ -288,16 +289,17 @@ def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
                 if a[i][j] and d[j] is None:
                     d[j] = d[i] * a[i][j] / a[j][i]
                     todo.append(j)
-    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(i)):
+    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(i) if a[i][j] or a[j][i]):
         return False
-    b = [[d[i] * a[i][j] for j in range(n)] for i in range(n)]
+    m, previous = [list(row) for row in a], 1
     for k in range(n):
-        if b[k][k] <= 0:
+        pivot = m[k][k]  # the leading principal minor of A of size k + 1
+        if pivot <= 0:
             return False
         for i in range(k + 1, n):
-            f = b[i][k] / b[k][k]
-            if f:
-                b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+            f = m[i][k]
+            m[i] = [(pivot * x - f * y) // previous for x, y in zip(m[i], m[k])]
+        previous = pivot
     return True
 
 

@@ -3,7 +3,8 @@
 Exit codes: 0 success (all checks pass for verify-paper), 1 verification
 failure, 2 invalid input or a count that does not fit in memory, 3
 arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
-enumeration invariant failed, or a W_J called finite did not end).
+enumeration invariant failed, or the root closure of a W_J called finite
+did not end).
 All numeric output is exact decimal integers.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -73,11 +75,13 @@ def _add_growth_args(p: argparse.ArgumentParser) -> None:
                                         f"(relative paths resolve under ${CHECKPOINT_DIR_ENV})")
     p.add_argument("--workers", type=_positive_int, default=1, help=_WORKERS_HELP)
     p.add_argument("--debug-full-dedup", action="store_true",
-                   help="check each walk of the count, the parabolic quotient and each prefix quotient of "
-                        "its subgroup: hold the walk's levels whole and compare each one, as a set, with an "
-                        "independent breadth-first search over the orbit of the walk's weight")
+                   help="check both factors of the count: hold the levels of its walk of the parabolic "
+                        "quotient whole and compare each one, as a set, with an independent breadth-first "
+                        "search over the orbit of the walk's weight, and compare the subgroup's series with "
+                        "the same search over a chain of its nodes")
 
 
+@functools.cache  # parse_args never changes the parser, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weylgrowth",

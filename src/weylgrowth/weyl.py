@@ -15,11 +15,12 @@ gamma = lambda - w(lambda).  Everything above holds with lambda_mu =
 <lambda, alpha_mu^vee>, 1 off J and 0 on J, in place of the 1 of rho: c =
 lambda_nu - pair[nu], mu is a left descent when pair[mu] > lambda_mu, and
 c = 0 is a move inside the coset, which is neither up nor down.  The
-matrix alone fixes J (:func:`_parabolic` states the rule), and W_J(t) is a
-product of quotients walked the same way, one per prefix of J's nodes.
-Every count walks a quotient with :func:`_quotient`, with or without a
-checkpoint and with or without the full-history cross-check;
-:func:`level_sets` walks the whole group with the same :func:`_count`.
+matrix alone fixes J (:func:`_parabolic` states the rule).  W_J is finite,
+and W_J(t) is read off the heights of its positive roots, with no walk
+(:func:`_root_degrees`).  So every count makes one walk, of the quotient,
+with :func:`_quotient`, with or without a checkpoint and with or without
+the full-history cross-check; :func:`level_sets` walks the whole group
+with the same :func:`_count`.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -48,25 +49,27 @@ One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
 Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
 the levels of the orbit of rho.  The full-history cross-check of
-:func:`enumerate_levels` runs the walks a count takes, W^J and each prefix
-quotient of W_J, and compares every whole level of each, as a set, with
-the orbit of its own lambda.
+:func:`enumerate_levels` runs the walk a count takes, of W^J, and compares
+every whole level, as a set, with the orbit of lambda; it checks W_J(t)
+against a product of orbit counts over a chain of J (:func:`_check_factor`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 import zipfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .algebra import GeneralizedCartanMatrix, is_finite_type
-from .series import IntPolynomial, TruncatedSeries
+from .series import IntPolynomial, TruncatedSeries, finite_poincare
 
 __all__ = [
     "CheckpointMismatchError",
@@ -271,6 +274,8 @@ def _kept(C: _Cartan, pair: np.ndarray, masks: tuple, nu: int) -> np.ndarray:
     one mask shared by every nu.
     """
     up, not_descent = masks
+    if not C.above[nu]:
+        return up[nu]  # callers only read it
     keep = up[nu].copy()
     for mu, a, bound in C.above[nu]:
         keep &= not_descent[mu] if a == 0 else _moved(pair, mu, nu, a) <= bound
@@ -293,10 +298,12 @@ def _children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, out=None, *,
     when it has that many rows and a new array otherwise.
 
     The gathers use ``mode="clip"``, which numpy does not buffer as it does
-    the default ``mode="raise"``; the indices come from ``np.flatnonzero``
-    over masks as long as ``parents``, so clipping never moves one.
+    the default ``mode="raise"``; the indices come from ``nonzero`` over
+    masks as long as ``parents``, so clipping never moves one.  The ndarray
+    methods are called rather than ``np.take`` and ``np.flatnonzero``, whose
+    Python-level wrappers cost more than the gather of a small chunk.
     """
-    picks = [np.flatnonzero(_kept(C, pair, masks, nu)) for nu in range(C.rank)]
+    picks = [_kept(C, pair, masks, nu).nonzero()[0] for nu in range(C.rank)]
     size = sum(map(len, picks))
     if out is None or len(out) < size:
         out = np.empty((size, C.rank), dtype=parents.dtype)
@@ -305,8 +312,8 @@ def _children(C: _Cartan, parents: np.ndarray, pair: np.ndarray, out=None, *,
     for nu in reversed(range(C.rank)):
         idx = picks[nu]
         block = children[start:start + len(idx)]
-        np.take(parents, idx, axis=0, out=block, mode="clip")
-        block[:, nu] += C.lam[nu] - np.take(pair[nu], idx, mode="clip")
+        parents.take(idx, 0, block, "clip")
+        block[:, nu] += C.lam[nu] - pair[nu].take(idx, None, None, "clip")
         start += len(idx)
     return children
 
@@ -493,6 +500,18 @@ def _memory_budget() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
+def _budgeted_orbit(gcm: GeneralizedCartanMatrix, max_order: int, lam, held: int):
+    """The levels of :func:`_orbit_levels`, with the states found so far
+    charged at _ORACLE_STATE_BYTES each on top of ``held`` bytes; past
+    :func:`_memory_budget` :class:`LevelTooLargeError` names the level."""
+    budget = _memory_budget()
+    for k, level in enumerate(_orbit_levels(gcm, max_order, lam), 1):
+        held += len(level) * _ORACLE_STATE_BYTES
+        if held > budget:
+            raise LevelTooLargeError(k, held, budget)
+        yield level
+
+
 def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = False, lam=None) -> list:
     """Levels 0..max_order of W^J, the orbit of ``lam`` (1 off J and 0 on
     J; the default, rho, is the whole group), one array of rows in walk
@@ -521,10 +540,7 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
             raise LevelTooLargeError(i, held, budget)
     levels = [np.concatenate(level) for level in chunks]
     if oracle:
-        for k, expected in enumerate(_orbit_levels(gcm, max_order, lam), 1):
-            held += len(expected) * _ORACLE_STATE_BYTES
-            if held > budget:
-                raise LevelTooLargeError(k, held, budget)
+        for k, expected in enumerate(_budgeted_orbit(gcm, max_order, lam, held), 1):
             level = levels[k].tolist() if k < len(levels) else []
             if len(level) != len(expected) or set(map(tuple, level)) != set(expected):
                 raise RuntimeError(f"level {k} differs from the orbit oracle")
@@ -662,6 +678,86 @@ class LevelCheckpoint:
         return ""
 
 
+def _root_degrees(gcm: GeneralizedCartanMatrix) -> tuple[int, ...]:
+    """The degrees of a finite Weyl group, in increasing order, read off the
+    heights of its positive roots.
+
+    A root beta, over the simple roots, is moved by s_i at coordinate i
+    alone, by -sum_j a_ij beta_j; where that is positive s_i beta is a root
+    that much higher.  Every positive root above height 1 lies one such
+    step above a lower one, so closing the simple roots under these steps
+    gives every positive root.  With n_h the positive roots of height h,
+    the exponents of W are the dual partition of (n_1, n_2, ...), so its
+    degrees are d_k = 1 + #{h : n_h > k} for k < rank (Kostant, *Amer. J.
+    Math.* 81, 1959), and W(t) = prod (1 - t^d_k)/(1 - t) (Macdonald, "The
+    Poincare series of a Coxeter group", *Math. Ann.* 199, 1972), which
+    :func:`finite_poincare` expands.  Both hold for a reducible W: the n_h
+    of its components add, and the dual of a sum of partitions is the union
+    of their duals.
+
+    A finite Weyl group of rank r has N = r h / 2 positive roots summed over
+    its components, and its Coxeter number h is at most max(2r, 30), so
+    N <= r max(r, 15), with equality for E8 (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 3.18).  An infinite W has infinitely many positive
+    real roots, so a closure that passes that bound raises RuntimeError.
+    """
+    rank = gcm.rank
+    bound = rank * max(rank, 15)
+    columns = list(zip(*gcm.entries))
+    # (beta, A beta): s_i moves beta up by -(A beta)_i where that is positive.
+    roots = [(tuple(int(i == j) for j in range(rank)), columns[i]) for i in range(rank)]
+    seen = {beta for beta, _ in roots}
+    for beta, pair in roots:  # roots grows as the loop goes: a breadth-first closure
+        for i, c in enumerate(pair):
+            if c < 0:
+                up = beta[:i] + (beta[i] - c,) + beta[i + 1:]
+                if up not in seen:
+                    if len(roots) == bound:
+                        raise RuntimeError(f"W_J on the nodes {' '.join(gcm.labels)} is not finite: "
+                                           f"it has more than {bound} positive roots")
+                    seen.add(up)
+                    roots.append((up, tuple(p - c * x for p, x in zip(pair, columns[i]))))
+    heights = Counter(sum(beta) for beta in seen).values()
+    return tuple(1 + sum(n > k for n in heights) for k in reversed(range(rank)))
+
+
+def _connected_chain(gcm: GeneralizedCartanMatrix) -> list[int]:
+    """The nodes of ``gcm`` breadth-first within each connected component,
+    each component from its first node, so that every prefix meets each
+    component in a connected set."""
+    chain = []
+    for start in range(gcm.rank):
+        if start in chain:
+            continue
+        head = len(chain)
+        chain.append(start)
+        while head < len(chain):
+            mu = chain[head]
+            head += 1
+            chain += [nu for nu, a in enumerate(gcm.entries[mu]) if a and nu not in chain]
+    return chain
+
+
+def _check_factor(gcm: GeneralizedCartanMatrix, factor: IntPolynomial, order: int) -> None:
+    """Raise RuntimeError unless ``factor`` is W(t) of ``gcm`` through order,
+    as counted by the orbit oracle.
+
+    For the nodes of :func:`_connected_chain` and T_n its first n, W_{T_n}(t)
+    is W_{T_{n-1}}(t) times the level counts of the orbit of omega at the
+    n-th node on the submatrix of T_n (:func:`_orbit_levels`).  A connected
+    chain keeps those orbits small: the largest for the E8 of HA7 has 240
+    states, against 241,920 for the same nodes in their own order.  The
+    states are charged to the memory budget as in :func:`_whole_levels`.
+    """
+    chain, product = _connected_chain(gcm), IntPolynomial((1,))
+    for n in range(1, gcm.rank + 1):
+        sub = gcm.subdiagram(chain[:n])
+        counts = [1, *map(len, _budgeted_orbit(sub, order, (0,) * (n - 1) + (1,), 0))]
+        product = IntPolynomial((product * IntPolynomial(tuple(counts))).coeffs[:order + 1])
+    if product != factor:
+        raise RuntimeError(f"W_J(t) on the nodes {' '.join(gcm.labels)} differs from the orbit oracle's")
+
+
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
                oracle: bool = False) -> tuple[tuple[int, ...], IntPolynomial]:
     """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
@@ -671,45 +767,36 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
     J is S less one node k, with W_J finite (:func:`is_finite_type`), so
     lambda is the fundamental weight omega_k.  When W is finite every such
     W_J is; the last node is left out (the catalogue's E8 goes to E7), and
-    W_J(t) is counted through max_order.  Otherwise each finite W_J is
-    counted whole, and the one with the most elements is taken, the first
-    on a tie, which leaves W^J the fewest elements per level.  A finite
-    Weyl group of rank r has a longest element of length N = r h / 2 summed
-    over its components, and its Coxeter number h is at most max(2r, 30),
-    so N <= r max(r, 15), with equality for E8 (Humphreys, 3.18).  A W_J
-    whose count has not ended one level past that is not finite, and
-    raises RuntimeError.  When none is finite J is empty: lambda is rho and
-    W_J(t) is 1.
+    W_J(t) is cut at max_order.  Otherwise the finite W_J with the most
+    elements, W_J(1), is taken, the first on a tie, which leaves W^J the
+    fewest elements per level.  The degrees of each W_J, and so |W_J| and
+    W_J(t), come from the heights of its positive roots
+    (:func:`_root_degrees`), so no walk is made here; a W_J called finite
+    whose roots pass the bound of a finite Weyl group raises RuntimeError.
+    When none is finite J is empty: lambda is rho and W_J(t) is 1.
+    :func:`is_finite_type` runs once on W and, for an infinite W, once on
+    each W_J.
 
-    For J's nodes j_1 < ... < j_m and T_n = (j_1, ..., j_n), W_{T_n}(t) is
-    W_{T_{n-1}}(t) times the quotient W_{T_n}^{T_{n-1}}(t), which
-    :func:`_quotient` walks on the submatrix of T_n with lambda = omega_{j_n}.
-    Each W_T(t) is kept by its node tuple T for the call, so a prefix that
-    several W_J share is walked once.  :func:`is_finite_type` runs once on
-    W and, for an infinite W, once on each W_J, never on a subgroup of a W_J
-    already called finite.  ``oracle`` is passed to every :func:`_quotient`
-    walk.
+    With ``oracle`` the W_J(t) taken is checked against the orbit oracle
+    (:func:`_check_factor`).
     """
-    rank, factors, prefixes = gcm.rank, {}, {(): IntPolynomial((1,))}
-    bound = (rank - 1) * max(rank - 1, 15)
-    if is_finite_type(gcm):
-        order, left_out = max_order, [rank - 1]
+    rank = gcm.rank
+    finite = is_finite_type(gcm)
+    if finite:
+        subgroups = {rank - 1: gcm.delete_node(gcm.labels[-1])}
     else:
-        order = bound + 1
-        left_out = [k for k, label in enumerate(gcm.labels) if is_finite_type(gcm.delete_node(label))]
-    for k in left_out:
-        J = tuple(mu for mu in range(rank) if mu != k)
-        for n in range(1, rank):
-            if J[:n] not in prefixes:
-                quotient = _quotient(gcm.subdiagram(J[:n]), (0,) * (n - 1) + (1,), order, None, oracle)
-                prefixes[J[:n]] = IntPolynomial((prefixes[J[:n - 1]] * quotient).coeffs[:order + 1])
-        factors[k] = prefixes[J]
-        if factors[k].degree > bound:
-            raise RuntimeError(f"W_J less node {gcm.labels[k]} is not finite: it reaches level {bound + 1}")
-    if not factors:
-        return (1,) * rank, prefixes[()]
-    k = max(factors, key=lambda k: factors[k](1))  # W_J(1) = |W_J|
-    return tuple(int(mu == k) for mu in range(rank)), factors[k]
+        subgroups = {k: gcm.delete_node(label) for k, label in enumerate(gcm.labels)}
+        subgroups = {k: sub for k, sub in subgroups.items() if is_finite_type(sub)}
+    if not subgroups:
+        return (1,) * rank, IntPolynomial((1,))
+    degrees = {k: _root_degrees(sub) for k, sub in subgroups.items()}
+    k = max(degrees, key=lambda k: math.prod(degrees[k]))  # |W_J|
+    factor = finite_poincare(degrees[k])
+    if finite:
+        factor = IntPolynomial(factor.coeffs[:max_order + 1])
+    if oracle:  # an orbit that outlives the factor differs from it at the next level
+        _check_factor(subgroups[k], factor, max_order if finite else factor.degree + 1)
+    return tuple(int(mu == k) for mu in range(rank)), factor
 
 
 def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
@@ -772,9 +859,9 @@ def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None
     counts of the depth-first walk of :func:`_count` over the orbit of
     lambda, checked by the edge-count invariant and the growth bound.
 
-    A count takes lambda from :func:`_parabolic`, which walks each of its
-    prefix quotients here too, and multiplies the result by W_J(t)
-    (:func:`enumerate_levels`).  With a ``checkpoint`` path the walk is
+    A count takes lambda from :func:`_parabolic`, which walks nothing, and
+    multiplies the result by W_J(t) (:func:`enumerate_levels`), so this is
+    the one walk a count makes.  With a ``checkpoint`` path the walk is
     picked up from it (:func:`_start`) and, when there is anything to walk,
     saved there at most once per _SAVE_EVERY_S seconds and once when it
     ends; an answer from the stored tally leaves the file as it is.  lambda
@@ -860,13 +947,15 @@ def enumerate_levels(
     W^J of its level (:func:`_check_waiting_rows`) raises
     CheckpointMismatchError before anything is walked.
 
-    ``full_history_dedup`` checks the walks the count takes, W^J and every
-    prefix quotient of W_J, without changing the product: each walk holds
-    its levels whole (:func:`_whole_levels`) and checks each one, as a set,
-    against the level of the orbit oracle of its own lambda
-    (:func:`_orbit_levels`), which deduplicates against every earlier
-    level; a mismatch raises RuntimeError.  The levels and oracle states
-    one walk holds past the memory budget raise :class:`LevelTooLargeError`.
+    ``full_history_dedup`` checks both factors without changing the
+    product.  The walk of W^J holds its levels whole (:func:`_whole_levels`)
+    and checks each one, as a set, against the level of the orbit oracle
+    of lambda (:func:`_orbit_levels`), which deduplicates against every
+    earlier level.  W_J(t), read off root heights, must equal the product
+    of the orbit oracle's level counts over a connected chain of J
+    (:func:`_check_factor`).  A mismatch raises RuntimeError.  The levels
+    and oracle states held past the memory budget raise
+    :class:`LevelTooLargeError`.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")

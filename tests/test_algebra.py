@@ -18,6 +18,7 @@ from weylgrowth import (
     weyl_group_order,
     weyl_orbit_oracle,
 )
+from weylgrowth import weyl
 
 
 # ---------------------------------------------------------------- validation
@@ -221,8 +222,8 @@ def test_finite_type_fails_for_a_matrix_that_is_not_symmetrisable():
 
 
 @st.composite
-def rank_three_gcm(draw):
-    n = draw(st.integers(1, 3))
+def drawn_gcm(draw, max_rank):
+    n = draw(st.integers(1, max_rank))
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
     bonds = st.sampled_from((-1, -2, -3, -4))
     for i in range(n):
@@ -233,13 +234,30 @@ def rank_three_gcm(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(rank_three_gcm())
+@given(drawn_gcm(3))
 def test_finite_type_agrees_with_a_whole_group_count(gcm):
     # A finite Weyl group of rank at most 3 has a longest element of
     # length at most 9 (B3, C3), so the orbit of rho, which is the whole
     # group, ends by order 10 exactly when the group is finite.  The orbit
     # oracle calls nothing that calls is_finite_type.
     assert is_finite_type(gcm) == weyl_orbit_oracle(gcm, 10).complete
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn_gcm(5))
+def test_finite_type_agrees_with_the_root_closure(gcm):
+    # A finite Weyl group of rank r has at most r max(r, 15) positive roots
+    # and an infinite one has infinitely many, so the closure of the simple
+    # roots under the simple reflections ends within that bound exactly
+    # when the group is finite.  The closure calls nothing that calls
+    # is_finite_type.
+    try:
+        weyl._root_degrees(gcm)
+    except RuntimeError:
+        closed = False
+    else:
+        closed = True
+    assert is_finite_type(gcm) == closed
 
 
 # ---------------------------------------------------------------- file I/O

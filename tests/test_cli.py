@@ -81,8 +81,8 @@ def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monk
     # Its levels 0..8 hold 70 rows of 4 coordinates, 2,240 bytes, inside
     # 16,384 bytes; the orbit oracle's 69 states of levels 1..8, charged at
     # _ORACLE_STATE_BYTES each, take the full-history check of that walk
-    # past it at level 8.  The prefix quotients of A3 hold under 1,000
-    # bytes each, oracle states included.
+    # past it at level 8.  The check of W_J(t), A3, charges at most three
+    # oracle states, 864 bytes, to each walk over its chain of nodes.
     monkeypatch.setattr(weyl, "_memory_budget", lambda: 16384)
     gcm = build_catalog("HA2").gcm
     lam = (0, 0, 1, 0)
@@ -176,17 +176,17 @@ def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
 
 @pytest.mark.parametrize("order", [3, 60])
 def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeypatch, order):
-    # HA2 less its node -1 is affine A2.  Called finite, it is counted whole,
-    # and its count has not ended one level past the longest element a
-    # finite W_J of rank 3 can have.  That bound, 46, is the same below
-    # and past the order.
+    # HA2 less its node -1 is affine A2.  Called finite, its roots are
+    # closed under the simple reflections, and the closure passes the 45
+    # positive roots a finite W_J of rank 3 can have.  That bound does not
+    # depend on the order.
     affine = build_catalog("HA2").gcm.delete_node("-1")
     real = weyl.is_finite_type
     monkeypatch.setattr(weyl, "is_finite_type", lambda gcm: gcm == affine or real(gcm))
     code = main(["growth", "--algebra", "HA2", "--order", str(order)])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    assert captured.err.startswith("error: W_J less node -1 is not finite: it reaches level 46")
+    assert captured.err.startswith("error: W_J on the nodes 0 1 2 is not finite: it has more than 45 positive roots")
 
 
 def test_growth_that_cannot_allocate_its_arrays_exits_2(capsys, monkeypatch):

@@ -427,20 +427,65 @@ def test_finite_longest_elements_lie_within_the_whole_count_bound():
     (2, "A3", 2), (3, "D4", 3), (4, "D5", 3), (5, "E6", 4), (6, "E7", 4), (7, "E8", 4),
 ])
 def test_each_ha_factors_out_its_largest_finite_subgroup_whole(n, name, node):
-    # W_J(t) is built from one quotient per prefix of J's nodes, and the
-    # prefixes shared by several W_J are walked once.  The W_J that HA_n
-    # keeps must still be the whole finite group, up to E8 at rank 9.
+    # W_J(t) is read off the root heights of W_J.  The W_J that HA_n keeps
+    # must be the whole finite group, up to E8 at rank 9.
     lam, factor = weyl._parabolic(build_catalog(f"HA{n}").gcm, 0)
     assert lam == tuple(int(mu == node) for mu in range(n + 2))
     assert factor == finite_poincare(invariant_degrees(build_catalog(name)))
 
 
-@pytest.mark.parametrize("name,order,walks", [("HA3", 27, 11), ("HA7", 4, 34), ("E8", 121, 8)])
-def test_a_count_tests_finiteness_once_per_subgroup_and_walks_each_prefix_once(
-        monkeypatch, name, order, walks):
-    # HA3 has four finite W_J, on the nodes (0, 2, 3, 4), (0, 1, 3, 4),
-    # (0, 1, 2, 4) and (0, 1, 2, 3), whose ten distinct prefixes are walked
-    # once each; W^J is the eleventh walk.  A finite W tests only itself.
+def test_root_heights_give_the_degrees_of_every_catalogue_finite_type():
+    # Kostant's height theorem against the table of invariant_degrees.
+    names = ([f"A{r}" for r in range(1, 9)] + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
+             + [f"D{r}" for r in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+    for name in names:
+        desc = build_catalog(name)
+        assert weyl._root_degrees(desc.gcm) == tuple(sorted(invariant_degrees(desc))), name
+
+
+def test_a_reducible_group_is_the_product_of_its_components():
+    # B3, G2, A1 and A2 side by side, their nodes interleaved: the degrees
+    # are those of the parts together, and a count of the whole group,
+    # which factors out the reducible W_J less the last node, is the
+    # product of the parts' polynomials.
+    parts = [build_catalog(name) for name in ("B3", "G2", "A1", "A2")]
+    blocks = [p.gcm.entries for p in parts]
+    offsets = [sum(len(b) for b in blocks[:i]) for i in range(len(blocks))]
+    rank = sum(map(len, blocks))
+    m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+    for block, offset in zip(blocks, offsets):
+        for i, row in enumerate(block):
+            for j, a in enumerate(row):
+                m[offset + i][offset + j] = a
+    nodes = (0, 3, 5, 1, 6, 4, 7, 2)
+    gcm = validate_gcm([[m[i][j] for j in nodes] for i in nodes])
+    assert weyl._root_degrees(gcm) == tuple(sorted(d for p in parts for d in invariant_degrees(p)))
+    product = IntPolynomial((1,))
+    for p in parts:
+        product = product * finite_poincare(invariant_degrees(p))
+    series = enumerate_levels(gcm, 40)
+    assert series.complete and series.coeffs == product.coeffs
+    assert enumerate_levels(gcm, 40, full_history_dedup=True) == series
+
+
+def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys):
+    # With the root-height degrees off by one, W_J(t) is wrong.  A plain
+    # count multiplies it in unchecked; the full-history check must compare
+    # it with the orbit oracle and refuse it.
+    degrees = weyl._root_degrees
+    monkeypatch.setattr(weyl, "_root_degrees", lambda gcm: tuple(d + 1 for d in degrees(gcm)))
+    gcm = build_catalog("HA3").gcm
+    assert enumerate_levels(gcm, 10).coeffs != HA3_GROWTH_REFERENCE[:11]
+    with pytest.raises(RuntimeError, match="differs from the orbit oracle"):
+        enumerate_levels(gcm, 10, full_history_dedup=True)
+    assert main(["growth", "--algebra", "HA3", "--order", "10", "--debug-full-dedup"]) == 5
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("name,order", [("HA3", 27), ("HA7", 4), ("E8", 121)])
+def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, name, order):
+    # W_J(t) comes from root heights, so W^J is the one walk.  An infinite W
+    # tests itself and each W_J; a finite W tests only itself.
     calls = {"finite": 0, "walks": 0}
     is_finite, count = weyl.is_finite_type, weyl._count
 
@@ -454,9 +499,8 @@ def test_a_count_tests_finiteness_once_per_subgroup_and_walks_each_prefix_once(
     monkeypatch.setattr(weyl, "_count", counted("walks", count))
     gcm = build_catalog(name).gcm
     enumerate_levels(gcm, order)
-    assert calls["finite"] <= gcm.rank + 1
-    assert (calls["finite"] == 1) == is_finite(gcm)
-    assert calls["walks"] == walks
+    assert calls["finite"] == (1 if is_finite(gcm) else gcm.rank + 1)
+    assert calls["walks"] == 1
 
 
 def test_deep_run_overflow_is_detected():
@@ -934,8 +978,8 @@ def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp
     # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
     # 12, leaves chunks waiting at levels 6, 8 and 9.  One waiting row is
     # replaced and the file saved again, so its digest, which is unkeyed,
-    # matches.  The resumed count must refuse it, exit 4, before its walk
-    # starts: the counts of W_J, of lower rank, are the only walks.
+    # matches.  The resumed count must refuse it, exit 4, before its walk,
+    # the only one a count makes, starts.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
@@ -946,19 +990,19 @@ def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp
     assert state.chunks[:, 0].tolist() == [6, 8, 9]
     replace(state, waiting=_forged_waiting_rows(state, gcm, forgery)).save(ck)
     assert weyl.LevelCheckpoint.load(ck, gcm).content_digest != state.content_digest
-    count, ranks = weyl._count, []
+    count, walks = weyl._count, []
 
-    def count_ranks(C, *args):
-        ranks.append(C.rank)
+    def counted(C, *args):
+        walks.append(C.lam)
         return count(C, *args)
 
-    monkeypatch.setattr(weyl, "_count", count_ranks)
+    monkeypatch.setattr(weyl, "_count", counted)
     with pytest.raises(CheckpointMismatchError, match="inconsistent.*does not reflect down to the identity"):
         enumerate_levels(gcm, 12, ck)
     assert main(["growth", "--algebra", "HA2", "--order", "12", "--checkpoint", str(ck)]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and "does not reflect down" in captured.err
-    assert ranks and gcm.rank not in ranks
+    assert walks == []
 
 
 @settings(max_examples=40, deadline=None)
