@@ -1,7 +1,8 @@
 """Generalized Cartan matrices and the algebra catalog.
 
-Everything here is exact: matrices are integer tuples, and the finite-type
-test :func:`is_finite_type` eliminates in integers.
+Everything here is exact: matrices are integer tuples, and the type test
+:func:`cartan_type`, on which :func:`is_finite_type` rests, eliminates in
+integers.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 __all__ = [
@@ -22,6 +22,7 @@ __all__ = [
     "AlgebraDescriptor",
     "validate_gcm",
     "build_catalog",
+    "cartan_type",
     "is_finite_type",
     "invariant_degrees",
     "weyl_group_order",
@@ -259,48 +260,69 @@ def build_catalog(descriptor_name: str) -> AlgebraDescriptor:
     return AlgebraDescriptor(family, rank, validate_gcm(entries, labels))
 
 
-def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
-    """Whether the Weyl group of ``gcm`` is finite, decided exactly.
+def cartan_type(gcm: GeneralizedCartanMatrix) -> str:
+    """"finite", "affine" or "indefinite": the type of a connected ``gcm``,
+    decided exactly.
 
-    The Weyl group is the product of those of the connected components,
-    and a component's is finite exactly when its matrix is symmetrisable,
-    with d_i * a_ij = d_j * a_ji for some positive d, and the symmetrised
-    matrix DA = (d_i * a_ij) is positive definite (Kac, *Infinite
-    dimensional Lie algebras*, Prop. 4.9).  The d_i are found one connected
-    component at a time, starting from 1 at the first node of each, and
-    every bond is checked against them.  Sylvester's criterion then asks
-    that every leading principal minor of DA be positive.  The leading
-    k-by-k block of DA is that of A with its rows scaled by d_1 .. d_k, all
-    positive, so it is enough that those minors of A itself are positive.
-    Fraction-free (Bareiss) elimination of A without row exchanges gives
-    each of them as a pivot, in integers, with every division exact.
+    Finite and affine matrices are symmetrisable, with d_i * a_ij = d_j *
+    a_ji for some positive d, so one that is not is indefinite.  The d_i are
+    found one connected component at a time, starting from 1 at the first
+    node of each, and every bond is checked against them.  A symmetrisable
+    connected matrix is finite when the symmetrised matrix DA = (d_i * a_ij)
+    is positive definite, affine when it is positive semidefinite of corank
+    1, and indefinite otherwise (Kac, *Infinite dimensional Lie algebras*,
+    Prop. 4.7).  The leading k-by-k block of DA is that of A with its rows
+    scaled by d_1 .. d_k, all positive, so its leading principal minors have
+    the signs of those of A, Delta_1 .. Delta_n.  All positive is
+    Sylvester's criterion: finite.  Delta_1 .. Delta_(n-1) positive and
+    Delta_n = 0 is affine: the leading block of size n - 1 is positive
+    definite, so by interlacing DA has at most one eigenvalue that is not
+    positive, and it is 0.  An affine matrix has that pattern in any node
+    order, since every proper principal submatrix of it is finite (Kac,
+    Lemma 4.5).  Anything else is indefinite.  Fraction-free (Bareiss)
+    elimination of A without row exchanges gives each minor as a pivot, in
+    integers, with every division exact.
+
+    A matrix of several components is "finite" exactly when each of them
+    is; "affine" and "indefinite" speak of a connected one.
     """
     a = gcm.entries
     n = gcm.rank
-    d: list = [None] * n
+    num, den = [0] * n, [1] * n  # d_i = num[i] / den[i]; num[i] = 0 until node i is reached
     for root in range(n):
-        if d[root] is not None:
+        if num[root]:
             continue
-        d[root] = Fraction(1)
+        num[root] = 1
         todo = [root]
         while todo:
             i = todo.pop()
             for j in range(n):
-                if a[i][j] and d[j] is None:
-                    d[j] = d[i] * a[i][j] / a[j][i]
+                if a[i][j] and not num[j]:
+                    num[j], den[j] = num[i] * a[i][j], den[i] * a[j][i]
                     todo.append(j)
-    if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(n) for j in range(i) if a[i][j] or a[j][i]):
-        return False
+    if any(num[i] * a[i][j] * den[j] != num[j] * a[j][i] * den[i]
+           for i in range(n) for j in range(i) if a[i][j] or a[j][i]):
+        return "indefinite"
     m, previous = [list(row) for row in a], 1
     for k in range(n):
         pivot = m[k][k]  # the leading principal minor of A of size k + 1
         if pivot <= 0:
-            return False
+            return "affine" if pivot == 0 and k == n - 1 else "indefinite"
         for i in range(k + 1, n):
             f = m[i][k]
             m[i] = [(pivot * x - f * y) // previous for x, y in zip(m[i], m[k])]
         previous = pivot
-    return True
+    return "finite"
+
+
+def is_finite_type(gcm: GeneralizedCartanMatrix) -> bool:
+    """Whether the Weyl group of ``gcm`` is finite, decided exactly.
+
+    The Weyl group is the product of those of the connected components,
+    and it is finite exactly when every component is of finite type, that
+    is when :func:`cartan_type` says "finite".
+    """
+    return cartan_type(gcm) == "finite"
 
 
 def invariant_degrees(descriptor: AlgebraDescriptor) -> tuple[int, ...]:

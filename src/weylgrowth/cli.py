@@ -3,8 +3,8 @@
 Exit codes: 0 success (all checks pass for verify-paper), 1 verification
 failure, 2 invalid input or a count that does not fit in memory, 3
 arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
-enumeration invariant failed, or the root closure of a W_J called finite
-did not end).
+enumeration invariant failed, or the root closure of a W_J component
+called finite or affine did not end).
 All numeric output is exact decimal integers.
 """
 

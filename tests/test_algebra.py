@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from weylgrowth import (
     RankOutOfRangeError,
     UnknownFamilyError,
     build_catalog,
+    cartan_type,
     enumerate_levels,
     gcm_from_json,
     invariant_degrees,
@@ -217,8 +219,29 @@ def test_finite_type_fails_for_a_matrix_that_is_not_symmetrisable():
     # a01 * a12 * a20 = -1 but a10 * a21 * a02 = -2: no d_i make d_i a_ij
     # symmetric around the cycle.
     gcm = validate_gcm([[2, -1, -1], [-2, 2, -1], [-1, -1, 2]])
+    assert cartan_type(gcm) == "indefinite"
     assert not is_finite_type(gcm)
     assert not weyl_orbit_oracle(gcm, 12).complete
+
+
+def test_cartan_type_of_every_catalogue_type():
+    finite = [f"{family}{n}" for family, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+              for n in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+    for names, kind in ((finite, "finite"), ([f"AffA{n}" for n in range(1, 8)], "affine"),
+                        ([f"HA{n}" for n in range(2, 8)], "indefinite")):
+        for name in names:
+            assert cartan_type(build_catalog(name).gcm) == kind, name
+
+
+def test_cartan_type_of_every_rank_two_matrix_with_a_bond_product_up_to_six():
+    # a_01 a_10 = 1, 2, 3 is A2, B2 = C2, G2; 4 is affine A1 or A2^(2);
+    # 5 and 6 are hyperbolic.
+    for a, b in itertools.product(range(1, 7), repeat=2):
+        if a * b <= 6:
+            gcm = validate_gcm([[2, -a], [-b, 2]])
+            kind = "finite" if a * b < 4 else "affine" if a * b == 4 else "indefinite"
+            assert cartan_type(gcm) == kind, (a, b)
+            assert is_finite_type(gcm) == (kind == "finite")
 
 
 @st.composite

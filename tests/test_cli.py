@@ -77,24 +77,25 @@ def test_growth_debug_dedup_over_the_memory_budget_exits_2(capsys, monkeypatch):
 
 
 def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monkeypatch):
-    # HA2 counts its quotient by A3, the orbit of lambda = (0, 0, 1, 0).
-    # Its levels 0..8 hold 70 rows of 4 coordinates, 2,240 bytes, inside
-    # 16,384 bytes; the orbit oracle's 69 states of levels 1..8, charged at
-    # _ORACLE_STATE_BYTES each, take the full-history check of that walk
-    # past it at level 8.  The check of W_J(t), A3, charges at most three
-    # oracle states, 864 bytes, to each walk over its chain of nodes.
+    # HA2 counts its quotient by affine A2, the orbit of lambda = (1, 0, 0,
+    # 0).  Its levels 0..10 hold 69 rows of 4 coordinates, 2,208 bytes,
+    # inside 16,384 bytes; the orbit oracle's 68 states of levels 1..10,
+    # charged at _ORACLE_STATE_BYTES each, take the full-history check of
+    # that walk past it at level 10.  The check of W_J(t), affine A2,
+    # charges at most 35 oracle states, 10,080 bytes, to each walk over its
+    # chain of nodes.
     monkeypatch.setattr(weyl, "_memory_budget", lambda: 16384)
     gcm = build_catalog("HA2").gcm
-    lam = (0, 0, 1, 0)
-    assert weyl._parabolic(gcm, 8)[0] == lam
-    levels = weyl._whole_levels(gcm, 8, False, lam)
-    assert tuple(map(len, levels)) == (1, 1, 2, 3, 5, 7, 11, 16, 24)
-    assert sum(level.nbytes for level in levels) == 2240
+    lam = (1, 0, 0, 0)
+    assert weyl._parabolic(gcm, 10)[0] == lam
+    levels = weyl._whole_levels(gcm, 10, False, lam)
+    assert tuple(map(len, levels)) == (1, 1, 1, 2, 2, 3, 5, 7, 10, 15, 22)
+    assert sum(level.nbytes for level in levels) == 2208
     with pytest.raises(LevelTooLargeError, match="budget of 16384 bytes") as info:
-        enumerate_levels(gcm, 8, full_history_dedup=True)
-    assert info.value.level == 8
-    assert info.value.bytes_needed == 2240 + 69 * weyl._ORACLE_STATE_BYTES
-    code = main(["growth", "--algebra", "HA2", "--order", "8", "--debug-full-dedup"])
+        enumerate_levels(gcm, 10, full_history_dedup=True)
+    assert info.value.level == 10
+    assert info.value.bytes_needed == 2208 + 68 * weyl._ORACLE_STATE_BYTES
+    code = main(["growth", "--algebra", "HA2", "--order", "10", "--debug-full-dedup"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: level ")
@@ -155,8 +156,8 @@ def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    # The first walk counts A1, the first node of HA2's first finite W_J;
-    # its one up-edge leads to no child.
+    # HA2's walk, of its quotient by affine A2, has one up-edge from the
+    # identity, at node -1, and the child it leads to is dropped.
     assert captured.err.startswith("error: level 1: 1 up-edges lead in, 0 left descents")
 
 
@@ -167,11 +168,10 @@ def test_growth_lost_leaf_exits_5(capsys, monkeypatch):
     code = main(["growth", "--algebra", "HA2", "--order", "3"])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
-    # HA2 counts its finite parabolic subgroups whole, and each of those
-    # walks ends before the order it counts to, so the first count of a
-    # last level is that of HA2's own walk, by A3: its level 3 has three
-    # elements with a left descent each, and the counter loses one.
-    assert captured.err.startswith("error: level 3: 3 up-edges lead in, 2 left descents")
+    # HA2's one walk, of its quotient by affine A2, counts its level 3 from
+    # the masks of level 2: two elements with a left descent each, and the
+    # counter loses one.
+    assert captured.err.startswith("error: level 3: 2 up-edges lead in, 1 left descents")
 
 
 @pytest.mark.parametrize("order", [3, 60])
@@ -181,8 +181,8 @@ def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeyp
     # positive roots a finite W_J of rank 3 can have.  That bound does not
     # depend on the order.
     affine = build_catalog("HA2").gcm.delete_node("-1")
-    real = weyl.is_finite_type
-    monkeypatch.setattr(weyl, "is_finite_type", lambda gcm: gcm == affine or real(gcm))
+    real = weyl.cartan_type
+    monkeypatch.setattr(weyl, "cartan_type", lambda gcm: "finite" if gcm == affine else real(gcm))
     code = main(["growth", "--algebra", "HA2", "--order", str(order)])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""

@@ -1,5 +1,7 @@
 import importlib.util
+import itertools
 import tempfile
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -14,7 +16,9 @@ from weylgrowth import (
     IntPolynomial,
     LevelTooLargeError,
     TruncatedSeries,
+    affine_poincare,
     build_catalog,
+    cartan_type,
     enumerate_levels,
     finite_poincare,
     gamma_reflect,
@@ -361,10 +365,10 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     # depth-first count their sizes.  Its series times W_J(t) must be the
     # orbit oracle's count of the whole group, the sizes of the whole-group
     # levels of level_sets, and the count under the full-history check of
-    # the walks it takes.  W_J, whose orbit of rho must end, gives W_J(t):
-    # that whole count for an infinite W and its levels through the order
-    # for a finite one.  Neither reference calls _parabolic or
-    # is_finite_type.
+    # the walks it takes.  W_J gives W_J(t): the whole count of its orbit of
+    # rho when that ends and W is infinite, and otherwise, for a finite W
+    # or an affine component in W_J, its levels through the order.
+    # Neither reference calls _parabolic, is_finite_type or cartan_type.
     order = 8
     lam, factor = weyl._parabolic(gcm, order)
     C = weyl._Cartan(gcm.entries, lam)
@@ -388,9 +392,12 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
         # Of rank 3 at most, so its longest element has length 9 at most.
         sub = gcm.delete_node(gcm.labels[lam.index(1)])
         sub_series = weyl_orbit_oracle(sub, 10)
-        assert sub_series.complete
-        whole = not is_finite_type(gcm)
+        whole = sub_series.complete and not is_finite_type(gcm)
         assert factor.coeffs == sub_series.coeffs[:None if whole else order + 1]
+        if not sub_series.complete:  # an affine component: W_J(t) is Bott's series
+            assert not is_finite_type(gcm)
+            parts = weyl._components(sub, range(sub.rank))
+            assert "affine" in {cartan_type(sub.subdiagram(part)) for part in parts}
     else:
         assert lam == (1,) * gcm.rank
 
@@ -427,11 +434,21 @@ def test_finite_longest_elements_lie_within_the_whole_count_bound():
     (2, "A3", 2), (3, "D4", 3), (4, "D5", 3), (5, "E6", 4), (6, "E7", 4), (7, "E8", 4),
 ])
 def test_each_ha_factors_out_its_largest_finite_subgroup_whole(n, name, node):
-    # W_J(t) is read off the root heights of W_J.  The W_J that HA_n keeps
-    # must be the whole finite group, up to E8 at rank 9.
-    lam, factor = weyl._parabolic(build_catalog(f"HA{n}").gcm, 0)
-    assert lam == tuple(int(mu == node) for mu in range(n + 2))
-    assert factor == finite_poincare(invariant_degrees(build_catalog(name)))
+    # The largest finite W_J of HA_n, ``name`` less ``node``, is sized whole
+    # from its root heights, and HA_n less its node -1, affine A_n, beats
+    # it: through N = r max(r, 15) its series sums to more than |W_J|.  So
+    # W_J is affine A_n, whose W_0 is A_n, and W_J(t) is Bott's series for
+    # the degrees of A_n, cut at the order.
+    gcm = build_catalog(f"HA{n}").gcm
+    degrees = invariant_degrees(build_catalog(f"A{n}"))
+    for order in (0, 12):
+        lam, factor = weyl._parabolic(gcm, order)
+        assert lam == (1,) + (0,) * (n + 1)
+        assert factor.coeffs == affine_poincare(degrees, order).coeffs
+    bound = (n + 2) * max(n + 2, 15)
+    finite = gcm.delete_node(gcm.labels[node])
+    assert weyl._root_degrees(finite) == tuple(sorted(invariant_degrees(build_catalog(name))))
+    assert sum(affine_poincare(degrees, bound).coeffs) > weyl_group_order(build_catalog(name))
 
 
 def test_root_heights_give_the_degrees_of_every_catalogue_finite_type():
@@ -469,11 +486,12 @@ def test_a_reducible_group_is_the_product_of_its_components():
 
 
 def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys):
-    # With the root-height degrees off by one, W_J(t) is wrong.  A plain
-    # count multiplies it in unchecked; the full-history check must compare
-    # it with the orbit oracle and refuse it.
-    degrees = weyl._root_degrees
-    monkeypatch.setattr(weyl, "_root_degrees", lambda gcm: tuple(d + 1 for d in degrees(gcm)))
+    # With the root-height degrees off by one, W_J(t) is wrong: HA3's W_0,
+    # A3, gets the degrees 3, 4, 5.  A plain count multiplies it in
+    # unchecked; the full-history check must compare it with the orbit
+    # oracle and refuse it.
+    degrees = weyl._degrees
+    monkeypatch.setattr(weyl, "_degrees", lambda *args: tuple(d + 1 for d in degrees(*args)))
     gcm = build_catalog("HA3").gcm
     assert enumerate_levels(gcm, 10).coeffs != HA3_GROWTH_REFERENCE[:11]
     with pytest.raises(RuntimeError, match="differs from the orbit oracle"):
@@ -484,10 +502,15 @@ def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys)
 
 @pytest.mark.parametrize("name,order", [("HA3", 27), ("HA7", 4), ("E8", 121)])
 def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, name, order):
-    # W_J(t) comes from root heights, so W^J is the one walk.  An infinite W
-    # tests itself and each W_J; a finite W tests only itself.
+    # W_J(t) comes from root heights, so W^J is the one walk.  A finite W
+    # tests itself and closes the roots of its W_J.  An infinite W tests
+    # itself, then types each connected component of a W_J once and closes
+    # its roots once: HA3 has six (affine A3, A1, A3, A4 twice, D4), HA7
+    # ten.
     calls = {"finite": 0, "walks": 0}
+    typed, closed = [], []
     is_finite, count = weyl.is_finite_type, weyl._count
+    kind, roots = weyl.cartan_type, weyl._positive_roots
 
     def counted(key, f):
         def wrapper(*args, **kw):
@@ -495,12 +518,91 @@ def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, 
             return f(*args, **kw)
         return wrapper
 
+    def logged(log, f):
+        def wrapper(gcm, *args, **kw):
+            log.append(gcm.labels)
+            return f(gcm, *args, **kw)
+        return wrapper
+
     monkeypatch.setattr(weyl, "is_finite_type", counted("finite", is_finite))
     monkeypatch.setattr(weyl, "_count", counted("walks", count))
+    monkeypatch.setattr(weyl, "cartan_type", logged(typed, kind))
+    monkeypatch.setattr(weyl, "_positive_roots", logged(closed, roots))
     gcm = build_catalog(name).gcm
     enumerate_levels(gcm, order)
-    assert calls["finite"] == (1 if is_finite(gcm) else gcm.rank + 1)
+    assert calls["finite"] == 1
+    assert len(typed) == {"HA3": 6, "HA7": 10, "E8": 0}[name]
+    assert sorted(closed) == sorted(typed or [gcm.labels[:-1]])
     assert calls["walks"] == 1
+
+
+def _connected_gcms(rank, bonds):
+    """Every connected GCM of the rank whose off-diagonal entries are 0 or
+    minus one of ``bonds``; every node order of a matrix is among them."""
+    pairs = [(0, 0)] + [(-a, -b) for a in bonds for b in bonds]
+    edges = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
+    for choice in itertools.product(pairs, repeat=len(edges)):
+        m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
+        for (i, j), (a, b) in zip(edges, choice):
+            m[i][j], m[j][i] = a, b
+        gcm = validate_gcm(m)
+        if len(weyl._components(gcm, range(rank))) == 1:
+            yield gcm
+
+
+def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle():
+    # The connected affine GCMs of rank 2 and 3 with bonds down to -4, in
+    # every node order and orientation: A1^(1) and A2^(2) (1 + 2 matrices),
+    # then A2^(1), C2^(1), D3^(2), A4^(2), G2^(1) and D4^(3) (1 + 3 + 3 + 6
+    # + 6 + 6).
+    # Next to one more node, unbonded, the affine group is the W_J that a
+    # count factors out, and Bott's series for it must equal the orbit
+    # oracle's count of the affine group through order 20.
+    found = Counter()
+    for rank in (2, 3):
+        for gcm in _connected_gcms(rank, (1, 2, 3, 4)):
+            if cartan_type(gcm) != "affine":
+                continue
+            found[rank] += 1
+            entries = [list(row) + [0] for row in gcm.entries] + [[0] * rank + [2]]
+            lam, factor = weyl._parabolic(validate_gcm(entries), 20)
+            assert lam == (0,) * rank + (1,)
+            assert factor.coeffs == weyl_orbit_oracle(gcm, 20).coeffs, gcm.entries
+    assert found == {2: 3, 3: 25}
+
+
+def test_full_history_check_catches_a_wrong_affine_factor_at_the_order(monkeypatch):
+    # Bott's series with its coefficient at the order, 10, one too high
+    # changes only that coefficient of the count.  The check of W_J(t) must
+    # reach the order to refuse it.
+    bott = weyl.affine_poincare
+
+    def off_at_ten(degrees, order):
+        coeffs = list(bott(degrees, order).coeffs)
+        coeffs[10] += 1
+        return TruncatedSeries(tuple(coeffs))
+
+    monkeypatch.setattr(weyl, "affine_poincare", off_at_ten)
+    gcm = build_catalog("HA3").gcm
+    wrong = enumerate_levels(gcm, 10).coeffs
+    assert wrong[:10] == HA3_GROWTH_REFERENCE[:10] and wrong[10] == HA3_GROWTH_REFERENCE[10] + 1
+    with pytest.raises(RuntimeError, match="W_J\\(t\\) on the nodes 0 1 2 3 differs from the orbit oracle"):
+        enumerate_levels(gcm, 10, full_history_dedup=True)
+
+
+@pytest.mark.parametrize("name,order,cosets", [("HA3", 27, 107_542), ("HA2", 30, 144_051),
+                                               ("free3", 18, 262_144)])
+def test_a_count_walks_the_cosets_of_its_affine_subgroup(name, order, cosets):
+    # HA_n walks its quotient by affine A_n, and the free product of three
+    # Z2 its quotient by an infinite dihedral group, level k of 2**(k-1)
+    # cosets: the first of three such W_J, which tie; by D4, A3 and nothing
+    # the walks held 259,193, 344,118 and 786,430 rows.
+    gcm = validate_gcm(FREE3) if name == "free3" else build_catalog(name).gcm
+    lam, factor = weyl._parabolic(gcm, order)
+    assert lam == (1,) + (0,) * (gcm.rank - 1)
+    walked = weyl._quotient(gcm, lam, order)
+    assert walked(1) == cosets
+    assert (walked * factor).coeffs[:order + 1] == enumerate_levels(gcm, order).coeffs
 
 
 def test_deep_run_overflow_is_detected():
@@ -748,12 +850,12 @@ def test_interrupted_walk_resumes_to_the_plain_count(monkeypatch, tmp_path, chun
 
 
 def test_interrupted_walk_answers_below_its_waiting_chunks_and_restarts(monkeypatch, tmp_path):
-    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # HA2 in chunks of 4 rows, interrupted in chunk 10 of the walk to order
     # 12, has its lowest waiting chunk at level 6: levels 0..5 are counted
     # whole.  An order below 6 is answered from the tally and leaves the
     # file alone; an order past 12 walks again from the identity.
     gcm = build_catalog("HA2").gcm
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
@@ -777,7 +879,7 @@ def test_interrupted_walk_resumes_at_a_lower_order(monkeypatch, tmp_path):
     # waiting chunks at levels 6, 8 and 9 instead of the identity: the
     # chunk at level 9 first, whose children it only counts.
     gcm = build_catalog("HA2").gcm
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     monkeypatch.setattr(weyl, "_whole_levels", _no_whole_levels)
     ck = tmp_path / "ha2.npz"
@@ -786,18 +888,18 @@ def test_interrupted_walk_resumes_at_a_lower_order(monkeypatch, tmp_path):
     assert weyl.LevelCheckpoint.load(ck, gcm).chunks[:, 0].tolist() == [6, 8, 9]
     calls = []
     assert _interrupted(gcm, 10, ck, 0, calls) == enumerate_levels(gcm, 10)
-    assert len(calls) == 14 and calls[0] == 9
+    assert len(calls) == 11 and calls[0] == 9
     state = weyl.LevelCheckpoint.load(ck, gcm)
     assert state.complete and state.order == 10
 
 
 def test_walk_resumed_at_a_lower_order_saves_a_chunk_at_that_order(monkeypatch, tmp_path):
     # Resumed at order 9, the walk of the test above tallies its waiting
-    # chunk at level 9 seven rows at a time and builds no children of it.
+    # chunk at level 9 four rows at a time and builds no children of it.
     # Interrupted after one such chunk, it leaves the rest of level 9
     # waiting, at the order of the file it saves, and that file resumes.
     gcm = build_catalog("HA2").gcm
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
@@ -891,6 +993,27 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
         enumerate_levels(gcm, 4, ck)
 
 
+def test_checkpoint_of_format_7_is_refused(monkeypatch, tmp_path, capsys):
+    # Format 7 walked HA3's quotient by D4, the orbit of omega at node 2.
+    # A finished format-7 file holds that walk's tally, which the factor of
+    # affine A3 would turn into wrong coefficients without a walk.  The
+    # count must refuse the file, exit 4.
+    gcm = build_catalog("HA3").gcm
+    ck = tmp_path / "ha3.npz"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(weyl, "CHECKPOINT_VERSION", 7)
+        weyl._quotient(gcm, (0, 0, 0, 1, 0), 10, ck)
+        old = weyl.LevelCheckpoint.load(ck, gcm)
+    assert old.complete
+    stale = IntPolynomial(tuple(old.tally[:, 0])) * weyl._parabolic(gcm, 10)[1]
+    assert stale.coeffs[:11] != HA3_GROWTH_REFERENCE[:11]
+    with pytest.raises(CheckpointMismatchError, match="version 7, expected 8"):
+        enumerate_levels(gcm, 10, ck)
+    assert main(["growth", "--algebra", "HA3", "--order", "10", "--checkpoint", str(ck)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "version 7" in captured.err
+
+
 @pytest.mark.parametrize("edit", [
     lambda data: {"tally": np.r_[data["tally"][:-1], data["tally"][-1:] + [1, 0, 0]]},
     lambda data: {"tally": data["tally"][:-1]},
@@ -901,14 +1024,14 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 ], ids=["last-count", "short-coeffs", "width", "negative", "repeated-row", "interior-count"])
 def test_checkpoint_rejects_inconsistent_contents(monkeypatch, tmp_path, edit):
     # HA2 interrupted in chunk 6 of the walk to order 6 has counted levels
-    # 0..4 and has the 7 rows of level 5 waiting.
+    # 0..4 and has the 3 rows of level 5 waiting.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 6, ck, 6)
     data = dict(np.load(ck, allow_pickle=False))
-    assert data["chunks"].tolist() == [[5, 7]] and len(data["tally"]) == 5
+    assert data["chunks"].tolist() == [[5, 3]] and len(data["tally"]) == 5
     _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match="inconsistent"):
         enumerate_levels(gcm, 10, ck)
@@ -938,10 +1061,10 @@ def _waiting_rows_of_a_level(data):
         "dropped-chunks", "edge-count", "short-tally", "digest"])
 def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch, tmp_path,
                                                                    edit, problem):
-    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # HA2 in chunks of 4 rows, interrupted in chunk 10 of the walk to order
     # 12, leaves chunks waiting at levels 6, 8 and 9; levels 0..5 are done.
     gcm = build_catalog("HA2").gcm
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
@@ -975,13 +1098,13 @@ def _forged_waiting_rows(state, gcm, forgery):
 @pytest.mark.parametrize("forgery", ["bumped", "identity", "shallow", "deep", "swapped"])
 def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp_path, capsys,
                                                                 forgery):
-    # HA2 in chunks of 7 rows, interrupted in chunk 10 of the walk to order
+    # HA2 in chunks of 4 rows, interrupted in chunk 10 of the walk to order
     # 12, leaves chunks waiting at levels 6, 8 and 9.  One waiting row is
     # replaced and the file saved again, so its digest, which is unkeyed,
     # matches.  The resumed count must refuse it, exit 4, before its walk,
     # the only one a count makes, starts.
     gcm = build_catalog("HA2").gcm
-    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 7)
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
@@ -1046,13 +1169,13 @@ def test_profile_script_smoke(capsys):
     spec.loader.exec_module(module)
     module.profile("HA2", 6)
     lines = capsys.readouterr().out.splitlines()
-    # HA2 walks the cosets of A3, its W_J on every node but 1; times
-    # W(A3)(t) they count the whole group.
-    assert lines[0].startswith("HA2: walks W^J for J = {-1 0 2},")
+    # HA2 walks the cosets of affine A2, its W_J on every node but -1;
+    # times Bott's series of affine A2 they count the whole group.
+    assert lines[0].startswith("HA2: walks W^J for J = {0 1 2},")
     assert lines[1].split() == ["level", "cosets", "total", "max", "coord", "seconds"]
     cosets = IntPolynomial((1, *(int(line.split()[1]) for line in lines[2:8])))
-    a3 = finite_poincare(invariant_degrees(build_catalog("A3")))
-    assert (cosets * a3).coeffs[:7] == HA2_GROWTH_PREFIX[:7]
+    affine_a2 = IntPolynomial(affine_poincare(invariant_degrees(build_catalog("A2")), 6).coeffs)
+    assert (cosets * affine_a2).coeffs[:7] == HA2_GROWTH_PREFIX[:7]
     assert lines[8].startswith(f"total cosets {cosets(1)},")
 
 
