@@ -8,22 +8,30 @@ the rational-form question for hyperbolic growth series.
 Every product goes through one kernel, ``_convolve``: Kronecker
 substitution packs each operand into one integer, so a product costs one
 CPython big-integer multiplication (Karatsuba, in C) plus packing and
-unpacking linear in the operands' byte size.  Series division is a
-recurrence that builds one quotient coefficient per step as an exact dot
-product summed in C, starting at the numerator's first nonzero
-coefficient; ``ratio_fit`` runs it only to deg P + margin and finishes
-with one product and the division of a residual that is zero whenever the
-quotient truncates by then.  ``affine_poincare`` divides by each
+unpacking linear in the operands' byte size.  One pair of helpers,
+``_pack`` and ``_unpack``, writes and reads those digits for every
+product and for the fit; digits that fit in 8 bytes are 64-bit words,
+converted by ``struct`` with the loop in C, and wider ones take the
+least width and one ``int.to_bytes``/``int.from_bytes`` per coefficient.
+Series division is a recurrence that builds one quotient coefficient per
+step as an exact dot product summed in C, starting at the numerator's
+first nonzero coefficient; ``ratio_fit`` runs it only to deg P + margin,
+then checks the residual P - Q * S for zero on the packed product, and
+unpacks and divides it only when it is not zero, that is, when the
+quotient has not truncated by then.  ``affine_poincare`` divides by each
 1 - t^m as a running sum along the residue classes mod m, O(order)
-additions in C per factor.
+additions in C per factor.  Operands are read as Python ints once: the
+module's own types hold them already, and anything else, such as numpy
+integers, is converted on entry.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, compress, count
-from operator import mul, sub
+from itertools import accumulate, compress, count, repeat
+from operator import add, mul, sub
 
 __all__ = [
     "NonUnitConstantTermError",
@@ -63,32 +71,65 @@ def _offset(n: int, w: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
+def _width(bound: int) -> int:
+    """Digit width in bytes whose half-base 2**(8w - 1) exceeds ``bound``.
+
+    Up to 8 bytes the width is 8, so each digit is one 64-bit word that
+    ``struct`` reads and writes in C; past 8 it is the least that does.
+    """
+    return max(8, bound.bit_length() // 8 + 1)
+
+
+def _pack(cs, w: int) -> int:
+    """The integer sum of cs[i] * B**i at base B = 2**(8w); every |cs[i]| < B/2.
+
+    Each digit is shifted by B/2 into [0, B) and written as w little-endian
+    bytes, so none borrows from the next; the shifts come off the whole
+    integer at once.
+    """
+    half = 1 << (8 * w - 1)
+    if w == 8:
+        raw = struct.pack(f"<{len(cs)}Q", *map(add, cs, repeat(half)))
+    else:
+        raw = b"".join([(c + half).to_bytes(w, "little") for c in cs])
+    return int.from_bytes(raw, "little") - _offset(len(cs), w)
+
+
+def _unpack(x: int, m: int, w: int) -> list[int]:
+    """Digits 0..m-1 of x = sum of d_i * B**i at base B = 2**(8w); every |d_i| < B/2."""
+    half = 1 << (8 * w - 1)
+    raw = ((x + _offset(m, w)) & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
+    if w == 8:
+        return list(map(sub, struct.unpack(f"<{m}Q", raw), repeat(half)))
+    return [int.from_bytes(raw[i : i + w], "little") - half for i in range(0, w * m, w)]
+
+
+def _product_bound(a, b) -> int:
+    """A bound on every coefficient of a, of b and of their product."""
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    return max(top_a, top_b, top_a * top_b * min(len(a), len(b)))
+
+
 def _convolve(a, b, n: int) -> list[int]:
     """Coefficients 0..n-1 of the product of integer sequences ``a``, ``b``.
 
-    Kronecker substitution at base B = 2**(8w): each operand becomes the
-    one integer sum of c_i * B**i, the two are multiplied once, and the
-    product's digits are read back.  Packing and unpacking shift every
-    digit by B/2, so each shifted digit lies in [0, B) and none borrows
-    from the next.  That holds when B/2 exceeds every operand coefficient
-    and max|a| * max|b| * min(len(a), len(b)), which bounds every product
-    coefficient; w is the least width that does.  The cost is one CPython
-    big-integer product (Karatsuba, in C) of len(a) * w and len(b) * w
-    bytes, plus packing and unpacking linear in those byte counts.
+    Kronecker substitution at base B = 2**(8w): ``_pack`` makes each
+    operand the one integer sum of c_i * B**i, the two are multiplied once,
+    and ``_unpack`` reads the product's digits back.  Both shift every digit
+    by B/2, which keeps it in [0, B) when B/2 exceeds every operand
+    coefficient and max|a| * max|b| * min(len(a), len(b)), a bound on every
+    product coefficient.  Digits that fit in 8 bytes are 64-bit words,
+    packed and unpacked by ``struct`` with the loop in C; wider ones
+    take the least width, one ``int.to_bytes``/``int.from_bytes`` each.
+    The cost is one CPython big-integer product (Karatsuba, in C) of
+    len(a) * w and len(b) * w bytes, plus packing and unpacking linear in
+    those byte counts.
     """
     m = min(n, len(a) + len(b) - 1)
     if m <= 0 or not (a and b):
         return [0] * n
-    top_a, top_b = max(map(abs, a)), max(map(abs, b))
-    w = max(top_a, top_b, top_a * top_b * min(len(a), len(b))).bit_length() // 8 + 1
-    half = 1 << (8 * w - 1)
-
-    def pack(cs):
-        raw = b"".join([(c + half).to_bytes(w, "little") for c in cs])
-        return int.from_bytes(raw, "little") - _offset(len(cs), w)
-
-    digits = ((pack(a) * pack(b) + _offset(m, w)) & ((1 << (8 * w * m)) - 1)).to_bytes(w * m, "little")
-    return [int.from_bytes(digits[i : i + w], "little") - half for i in range(0, w * m, w)] + [0] * (n - m)
+    w = _width(_product_bound(a, b))
+    return _unpack(_pack(a, w) * _pack(b, w), m, w) + [0] * (n - m)
 
 
 @dataclass(frozen=True)
@@ -194,8 +235,28 @@ class TruncatedSeries:
 
     @staticmethod
     def from_polynomial(p: IntPolynomial, order: int) -> "TruncatedSeries":
+        if order < 0:
+            raise ValueError("a truncated series needs at least the constant term")
         cs = p.coeffs[: order + 1]
-        return TruncatedSeries(cs + (0,) * (order + 1 - len(cs)))
+        return _series(cs + (0,) * (order + 1 - len(cs)))
+
+
+def _series(cs) -> TruncatedSeries:
+    """A TruncatedSeries of ``cs``, which are Python ints already and not read again."""
+    out = object.__new__(TruncatedSeries)
+    object.__setattr__(out, "coeffs", tuple(cs))
+    return out
+
+
+def _ints(x) -> tuple[int, ...]:
+    """``x.coeffs`` as Python ints; this module's own types hold them already.
+
+    Anything else, such as numpy integers, is converted here, once per
+    operand, so fixed-width values stay exact.
+    """
+    if isinstance(x, (IntPolynomial, TruncatedSeries)):
+        return x.coeffs
+    return tuple(map(int, x.coeffs))
 
 
 def _series_prefix(x, order: int, role: str) -> tuple[int, ...]:
@@ -204,7 +265,7 @@ def _series_prefix(x, order: int, role: str) -> tuple[int, ...]:
     Polynomials extend with zeros; anything else (a TruncatedSeries; a
     GrowthSeries is one) must already be known through ``order``.
     """
-    cs = tuple(map(int, x.coeffs))
+    cs = _ints(x)
     if isinstance(x, IntPolynomial):
         return cs[: order + 1] + (0,) * (order + 1 - len(cs[: order + 1]))
     if len(cs) < order + 1:
@@ -229,8 +290,7 @@ def series_mul(a, b) -> TruncatedSeries:
     order = min(orders)
     xa = _series_prefix(a, order, "left factor")
     xb = _series_prefix(b, order, "right factor")
-    out = _convolve(xa[: _degree(xa) + 1], xb[: _degree(xb) + 1], order + 1)
-    return TruncatedSeries(tuple(out))
+    return _series(_convolve(xa[: _degree(xa) + 1], xb[: _degree(xb) + 1], order + 1))
 
 
 def series_div(numerator, denominator, order: int) -> TruncatedSeries:
@@ -265,7 +325,7 @@ def series_div(numerator, denominator, order: int) -> TruncatedSeries:
         q.append(acc * lead)
         if acc:
             top = k
-    return TruncatedSeries(tuple(q))
+    return _series(q)
 
 
 @dataclass(frozen=True)
@@ -309,35 +369,45 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
     margined.
 
     The division's recurrence runs only through K = deg P + min_margin,
-    giving Q_K.  One ``_convolve`` gives the residual R = P - Q_K * S
-    through the order, and the quotient past K is R / S, because
-    P/S = Q_K + R/S and R vanishes through K.  When the quotient truncates
-    by K, R is zero and the fit costs O(K**2) plus one product; otherwise
-    dividing R costs what the full recurrence would.
+    giving Q_K, and P/S = Q_K + R/S, where the residual R = P - Q_K * S
+    vanishes through K.  R is checked for zero packed: the Kronecker
+    product of Q_K and S (``_convolve``'s packing, at a width that bounds
+    P's coefficients too) must agree with packed P in its order + 1 low
+    digits.  Only when it does not are the product's digits unpacked and
+    R / S divided out for the quotient past K.  When the quotient
+    truncates by K the fit costs O(K**2), one product and one comparison;
+    otherwise dividing R costs what the full recurrence would.
     """
     if min_margin < 1:
         raise ValueError("min_margin must be >= 1")
     if finite_poly.is_zero:
         raise ValueError("finite polynomial must be nonzero")
-    order = len(growth.coeffs) - 1
-    if growth.coeffs[0] != 1:
+    s = _ints(growth)
+    growth, order = _series(s), len(s) - 1
+    if s[0] != 1:
         raise ValueError("growth series must have constant term 1")
     if order < finite_poly.degree + min_margin:
         raise InsufficientOrderError(
             f"growth order {order} < degree {finite_poly.degree} + margin {min_margin}"
         )
-    # Q_K = P/S through K = cut; then P/S = Q_K + R/S, where R = P - Q_K * S
-    # vanishes through K.
+    p = finite_poly.coeffs
     cut = finite_poly.degree + min_margin
-    head = series_div(finite_poly, growth, cut).coeffs
-    s = _series_prefix(growth, order, "growth series")
-    num = _series_prefix(finite_poly, order, "finite polynomial")
-    residual = list(map(sub, num, _convolve(head, s[: _degree(s) + 1], order + 1)))
-    q = head + series_div(TruncatedSeries(residual), growth, order).coeffs[cut + 1 :]
+    q = list(series_div(finite_poly, growth, cut).coeffs)
+    used = s[: _degree(s) + 1]
+    # |P's coefficients| < B/2 and |the product's| < B/2, so each digit of R
+    # lies in (-B, B), and R's low order + 1 digits are all zero exactly when
+    # the packed difference is 0 mod B**(order + 1).
+    w = _width(max(max(map(abs, p)), _product_bound(q, used)))
+    product = _pack(q, w) * _pack(used, w)
+    if (product - _pack(p, w)) & ((1 << (8 * w * (order + 1))) - 1):
+        residual = list(map(sub, p + (0,) * (order - finite_poly.degree), _unpack(product, order + 1, w)))
+        q += series_div(_series(residual), growth, order).coeffs[cut + 1 :]
+    else:
+        q += [0] * (order - cut)
     last_nonzero = _degree(q)
     margin = order - last_nonzero
     if margin >= min_margin:
-        return RatioFitResult(IntPolynomial(q[: last_nonzero + 1]), margin, (), order)
+        return RatioFitResult(IntPolynomial(tuple(q[: last_nonzero + 1])), margin, (), order)
     evidence = tuple(k for k in range(order - min_margin + 1, order + 1) if q[k])
     return RatioFitResult(None, margin, evidence, order)
 
@@ -368,7 +438,7 @@ def affine_poincare(degrees, order: int) -> TruncatedSeries:
         m = int(d) - 1
         for r in range(min(m, order + 1)):
             cs[r::m] = accumulate(cs[r::m])
-    return TruncatedSeries(tuple(cs))
+    return _series(cs)
 
 
 def expand_factored(factors) -> IntPolynomial:

@@ -202,6 +202,8 @@ def test_int64_operands_stay_exact():
     q = series_div(_Int64Coeffs([big, 0, 0, 0]), _Int64Coeffs([1, big, 0, 0]), 3)
     assert q.coeffs == (2**62, -(2**124), 2**186, -(2**248))
     assert series_mul(q, _Int64Coeffs([1, big, 0, 0])).coeffs == (2**62, 0, 0, 0)
+    fit = ratio_fit(IntPolynomial((1, big)), _Int64Coeffs([1, big, 0, 0, 0, 0, 0]), 3)
+    assert (fit.quotient, fit.margin_checked, fit.evidence) == (IntPolynomial((1,)), 6, ())
 
 
 # Schoolbook reference, independent of weylgrowth.series: operands are plain
@@ -297,6 +299,8 @@ def test_series_div_matches_schoolbook(data):
 # Coefficients at the edges of a w-byte digit, which holds magnitudes below
 # 2^(8w - 1): 2^(8k - 1) is the smallest that needs k + 1 bytes, and
 # 2^(8k) - 1 and 2^(8k) sit on either side of the unsigned k-byte limit.
+# Products whose bound stays below 2^63 take 64-bit words (k <= 3, and
+# [v] * [-v] at k = 4, whose bound is 2^62); the rest take wider digits.
 _EDGES = [e for k in range(1, 10) for e in (2 ** (8 * k - 1), 2 ** (8 * k) - 1, 2 ** (8 * k))]
 
 
@@ -402,6 +406,12 @@ def _reference_fit(cp, cs, margin):
     return None, order - last, tuple(k for k in range(order - margin + 1, order + 1) if q[k]), order
 
 
+def _fit_fields(cp, cs, margin):
+    """The same four fields from ``ratio_fit``."""
+    result = ratio_fit(IntPolynomial(tuple(cp)), TruncatedSeries(tuple(cs)), margin)
+    return result.quotient, result.margin_checked, result.evidence, result.order_checked
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_ratio_fit_matches_schoolbook(data):
@@ -424,9 +434,55 @@ def test_ratio_fit_matches_schoolbook(data):
             # One coefficient past K changed: the quotient agrees with Q up to
             # there, so its tail starts again after a run of zeros.
             cs[data.draw(st.integers(k + 1, order))] += data.draw(st.sampled_from([-2, -1, 1, 3]))
-    result = ratio_fit(IntPolynomial(tuple(cp)), TruncatedSeries(tuple(cs)), margin)
-    got = (result.quotient, result.margin_checked, result.evidence, result.order_checked)
+    assert _fit_fields(cp, cs, margin) == _reference_fit(cp, cs, margin)
+
+
+def _nudged(cs, where, k):
+    """cs with one coefficient raised by 1: at K + 1, the first index past the
+    fit's recurrence, or at the order, the top digit of its packed check."""
+    cs = list(cs)
+    if where != "nowhere":
+        cs[{"K + 1": k + 1, "order": len(cs) - 1}[where]] += 1
+    return cs
+
+
+@pytest.mark.parametrize("where", ["nowhere", "K + 1", "order"])
+@pytest.mark.parametrize("name", ["G2", "E8"])
+def test_ratio_fit_of_an_affine_series_nudged_at_the_edges_of_its_check(name, where):
+    # P / affine series = prod(1 - t^(d - 1)), of degree deg P.  G2's series
+    # fits 64-bit digits; E8's product bound needs wider ones.
+    degrees = invariant_degrees(build_catalog(name))
+    p, margin = finite_poincare(degrees), 5
+    k = p.degree + margin
+    order = k + 12
+    cs = _nudged(affine_poincare(degrees, order).coeffs, where, k)
+    got = _fit_fields(p.coeffs, cs, margin)
+    assert got == _reference_fit(p.coeffs, cs, margin)
+    if where == "nowhere":
+        want = expand_factored(IntPolynomial((1,) + (0,) * (d - 2) + (-1,)) for d in degrees)
+        assert got[:3] == (want, order - p.degree, ())
+    elif where == "order":
+        assert got[1:3] == (0, (order,))
+    else:
+        assert got[0] is None
+
+
+@pytest.mark.parametrize("where", ["nowhere", "K + 1", "order"])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("v", [2**60 - 1, 2**60, 2**61 - 1, 2**61, 2**63 - 1, 2**63, 2**64 + 1])
+def test_ratio_fit_at_the_64_bit_word_edge(v, sign, where):
+    # S = 1 + v t^3 and P = S * (1 + t), so P / S = 1 + t.  The fit's product
+    # bound is max|Q_K| * max|S| * min(K + 1, len(S)): 4v, or 8v once a nudge
+    # lengthens S.  So the digits are 64-bit words below v = 2^61 (2^60 when
+    # nudged) and wider from there; growth coefficients on either side of
+    # 2^63 are covered as well.
+    margin, order = 3, 14
+    cp = [1, 1, 0, sign * v, sign * v]
+    k = len(cp) - 1 + margin
+    cs = _nudged([1, 0, 0, sign * v] + [0] * (order - 3), where, k)
+    got = _fit_fields(cp, cs, margin)
     assert got == _reference_fit(cp, cs, margin)
+    assert (got[0] == IntPolynomial((1, 1))) == (where == "nowhere")
 
 
 def test_ratio_fit_validates_inputs(ha2_growth_24):
