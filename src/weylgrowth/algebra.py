@@ -1,8 +1,8 @@
 """Generalized Cartan matrices and the algebra catalog.
 
 Everything here is exact: matrices are integer tuples, and the type test
-:func:`cartan_type`, on which :func:`is_finite_type` rests, eliminates in
-integers.
+:func:`cartan_type`, on which :func:`is_finite_type` rests, reads the type
+off the leading principal minors alone, found by elimination in integers.
 """
 
 from __future__ import annotations
@@ -262,48 +262,36 @@ def build_catalog(descriptor_name: str) -> AlgebraDescriptor:
 
 def cartan_type(gcm: GeneralizedCartanMatrix) -> str:
     """"finite", "affine" or "indefinite": the type of a connected ``gcm``,
-    decided exactly.
+    decided exactly from its leading principal minors Delta_1 .. Delta_n,
+    with no symmetriser.
 
-    Finite and affine matrices are symmetrisable, with d_i * a_ij = d_j *
-    a_ji for some positive d, so one that is not is indefinite.  The d_i are
-    found one connected component at a time, starting from 1 at the first
-    node of each, and every bond is checked against them.  A symmetrisable
-    connected matrix is finite when the symmetrised matrix DA = (d_i * a_ij)
-    is positive definite, affine when it is positive semidefinite of corank
-    1, and indefinite otherwise (Kac, *Infinite dimensional Lie algebras*,
-    Prop. 4.7).  The leading k-by-k block of DA is that of A with its rows
-    scaled by d_1 .. d_k, all positive, so its leading principal minors have
-    the signs of those of A, Delta_1 .. Delta_n.  All positive is
-    Sylvester's criterion: finite.  Delta_1 .. Delta_(n-1) positive and
-    Delta_n = 0 is affine: the leading block of size n - 1 is positive
-    definite, so by interlacing DA has at most one eigenvalue that is not
-    positive, and it is 0.  An affine matrix has that pattern in any node
-    order, since every proper principal submatrix of it is finite (Kac,
-    Lemma 4.5).  Anything else is indefinite.  Fraction-free (Bareiss)
-    elimination of A without row exchanges gives each minor as a pivot, in
-    integers, with every division exact.
+    All of them positive is finite, Delta_1 .. Delta_(n-1) positive with
+    Delta_n = 0 is affine, and anything else is indefinite.  By induction
+    on n, let the leading block B of size n - 1 be finite, and write A =
+    [[B, u], [v^T, 2]], with u, v <= 0.  Each component of a finite B has
+    an inverse with positive entries, so B^-1 >= 0, B^-1 w > 0 for every
+    w > 0, and Delta_n / Delta_(n-1) = 2 - v^T B^-1 u.  If Delta_n > 0, y =
+    (B^-1 (w - u), 1) > 0 and A y = (w, Delta_n / Delta_(n-1) + v^T B^-1 w),
+    which is positive for every small enough w > 0, so each component of A
+    is finite (Kac, *Infinite dimensional Lie algebras*, Thm. 4.3, which
+    assumes no symmetriser).  If Delta_n = 0 and A is connected, u meets
+    every component of B, so y_0 = (-B^-1 u, 1) > 0 and A y_0 = 0: A is
+    affine (Thm. 4.3).  If Delta_n <= 0, every y = (z, s) > 0 with B z + s
+    u >= 0 has z >= -s B^-1 u, so (A y)_n = v^T z + 2 s <= s Delta_n /
+    Delta_(n-1) <= 0: A is not finite, nor affine when Delta_n < 0.  So a
+    leading block whose last minor is not positive is not finite, and a
+    matrix with one as a proper block is neither finite nor affine, since
+    every proper principal submatrix of either is finite (Kac, Lemma 4.5).
+    A matrix with no symmetriser, d_i a_ij = d_j a_ji for some positive d,
+    is neither finite nor affine, so it always fails the test.
+    Fraction-free (Bareiss) elimination of A without row exchanges gives
+    each minor as a pivot, in integers, with every division exact.
 
     A matrix of several components is "finite" exactly when each of them
     is; "affine" and "indefinite" speak of a connected one.
     """
-    a = gcm.entries
+    m, previous = [list(row) for row in gcm.entries], 1
     n = gcm.rank
-    num, den = [0] * n, [1] * n  # d_i = num[i] / den[i]; num[i] = 0 until node i is reached
-    for root in range(n):
-        if num[root]:
-            continue
-        num[root] = 1
-        todo = [root]
-        while todo:
-            i = todo.pop()
-            for j in range(n):
-                if a[i][j] and not num[j]:
-                    num[j], den[j] = num[i] * a[i][j], den[i] * a[j][i]
-                    todo.append(j)
-    if any(num[i] * a[i][j] * den[j] != num[j] * a[j][i] * den[i]
-           for i in range(n) for j in range(i) if a[i][j] or a[j][i]):
-        return "indefinite"
-    m, previous = [list(row) for row in a], 1
     for k in range(n):
         pivot = m[k][k]  # the leading principal minor of A of size k + 1
         if pivot <= 0:

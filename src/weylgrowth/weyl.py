@@ -15,10 +15,12 @@ over the nodes i off J, named by gamma = lambda - w(lambda).  Everything
 above holds with lambda_mu = <lambda, alpha_mu^vee>, 1 off J and 0 on J,
 in place of the 1 of rho: c = lambda_nu - pair[nu], mu is a left descent
 when pair[mu] > lambda_mu, and c = 0 is a move inside the coset, which is
-neither up nor down.  The matrix alone fixes J (:func:`_parabolic` states
-the rule).  W_J(t) has a closed form, with no walk: each finite component
-gives the polynomial of the degrees read off the heights of its positive
-roots (:func:`_root_degrees`), and each affine one Bott's series for the
+neither up nor down.  The matrix alone fixes J: :func:`_parabolic` types
+each component of each candidate J with :func:`cartan_type`, in one loop
+for a finite W and an infinite one, and states the rule.  W_J(t) has a
+closed form, with no walk: each finite component gives the polynomial of
+the degrees read off the heights of its positive roots
+(:func:`_root_degrees`), and each affine one Bott's series for the
 degrees of its finite part (:func:`_base_degrees`).  So every count
 makes one walk, of the quotient, with :func:`_quotient`, with or without
 a checkpoint and with or without the full-history cross-check;
@@ -801,18 +803,6 @@ def _check_factor(gcm: GeneralizedCartanMatrix, factor: IntPolynomial, order: in
         raise RuntimeError(f"W_J(t) on the nodes {' '.join(gcm.labels)} differs from the orbit oracle's")
 
 
-def _subgroup_series(finite, affine, order: int) -> IntPolynomial:
-    """W_J(t) for a W_J whose finite components have the degrees
-    ``finite`` together and whose affine components have finite parts W_0
-    of the degrees in ``affine``, one tuple each: the polynomial of
-    :func:`finite_poincare` when there is no affine one, and otherwise the
-    series through order, times Bott's :func:`affine_poincare` for each."""
-    factor = finite_poincare(finite)
-    for degrees in affine:
-        factor = IntPolynomial(series_mul(affine_poincare(degrees, order), factor).coeffs)
-    return factor
-
-
 def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
                oracle: bool = False) -> tuple[tuple[int, ...], IntPolynomial]:
     """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
@@ -820,63 +810,55 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
     never on max_order.
 
     J is S less one node k, so lambda is the fundamental weight omega_k.
-    When W is finite (:func:`is_finite_type`) so is every such W_J; the last
-    node is left out (the catalogue's E8 goes to E7), and W_J(t) is cut at
-    max_order.  Otherwise J qualifies when each of its connected components
+    The candidates for k are the last node when W is finite
+    (:func:`is_finite_type`), and then every W_J is finite too (the
+    catalogue's E8 goes to E7), and every node otherwise.  A candidate
+    qualifies when each connected component of S less k
     (:func:`_components`) is finite or affine (:func:`cartan_type`).  A
     finite component gives the polynomial of its degrees, read off the
     heights of its positive roots with no walk (:func:`_root_degrees`), and
     an affine one Bott's series P(t) / prod (1 - t^(d_i - 1))
     (:func:`affine_poincare`) for the degrees d_i of its largest parabolic
-    subgroup of corank 1, W_0 (:func:`_base_degrees`).  The k taken is the
-    one whose W_J(t) has the largest sum of coefficients through N = r
-    max(r, 15), for r the rank of W, the first on a tie.  A finite W_J ends
-    by then (:func:`_positive_roots`), so its sum is |W_J|, and a W with no
-    affine candidate takes its largest finite W_J.  W_J(t) is cut at
-    max_order when a component is affine, and whole otherwise.  A component
-    called finite or affine whose roots pass the bound of its type raises
-    RuntimeError.  When no J qualifies, J is empty: lambda is rho and W_J(t)
-    is 1.  :func:`is_finite_type` runs once on W and, for an infinite W,
-    :func:`cartan_type` and one root closure once on each component of a
-    W_J.
+    subgroup of corank 1, W_0 (:func:`_base_degrees`).
+    The k taken is the one whose W_J(t) has the largest sum of coefficients
+    through N = r max(r, 15), for r the rank of W, the first on a tie.  A
+    finite W_J ends by then (:func:`_positive_roots`), so its sum is |W_J|,
+    the product of its degrees, and only the series of a candidate with an
+    affine component is expanded; a W with no affine candidate takes its
+    largest finite W_J.  W_J(t) is cut at max_order when a component is
+    affine, and whole otherwise, for a finite W as for an infinite one.  A
+    component called finite or affine whose roots pass the bound of its
+    type raises RuntimeError.  When no J qualifies, J is empty: lambda is
+    rho and W_J(t) is 1.  :func:`is_finite_type` runs once on W, and
+    :func:`cartan_type` once on each component of each candidate, with one
+    root closure when the candidate qualifies.  On a connected W no two
+    candidates share a component: a component of S less k is one of S less
+    k', for k' != k, only when it is a whole component of S.
 
     With ``oracle`` the W_J(t) taken is checked against the orbit oracle
-    (:func:`_check_factor`) through max_order, or, when it is a polynomial
-    of an infinite W, one level past its degree.
+    (:func:`_check_factor`) through max_order, or, when it is whole, one
+    level past its degree.
     """
     rank = gcm.rank
-    if is_finite_type(gcm):
-        k = rank - 1
-        factor = finite_poincare(_root_degrees(gcm.delete_node(gcm.labels[k])))
-        factor, whole = IntPolynomial(factor.coeffs[:max_order + 1]), False
-    else:
-        found = {}  # (type, degrees) by sorted node tuple
-
-        def component(nodes):
-            key = tuple(sorted(nodes))
-            if key not in found:
-                sub = gcm.subdiagram(key)
-                kind = cartan_type(sub)
-                found[key] = kind, (_root_degrees(sub) if kind == "finite"
-                                    else _base_degrees(sub) if kind == "affine" else ())
-            return found[key]
-
-        bound, best = rank * max(rank, 15), None
-        for node in range(rank):
-            parts = [component(part) for part in _components(gcm, [mu for mu in range(rank) if mu != node])]
-            if any(kind == "indefinite" for kind, _ in parts):
-                continue
-            finite = [d for kind, degrees in parts if kind == "finite" for d in degrees]
-            affine = [degrees for kind, degrees in parts if kind == "affine"]
-            series = _subgroup_series(finite, affine, max(bound, max_order)) if affine else None
-            size = sum(series.coeffs[:bound + 1]) if affine else math.prod(finite)
-            if best is None or size > best[0]:
-                best = size, node, finite, series
-        if best is None:
-            return (1,) * rank, IntPolynomial((1,))
-        _, k, finite, series = best
-        whole = series is None
-        factor = finite_poincare(finite) if whole else IntPolynomial(series.coeffs[:max_order + 1])
+    bound, best = rank * max(rank, 15), None
+    for node in [rank - 1] if is_finite_type(gcm) else range(rank):
+        parts = [gcm.subdiagram(part) for part in _components(gcm, [mu for mu in range(rank) if mu != node])]
+        kinds = [cartan_type(sub) for sub in parts]
+        if "indefinite" in kinds:
+            continue
+        finite = [d for sub, kind in zip(parts, kinds) if kind == "finite" for d in _root_degrees(sub)]
+        affine = [_base_degrees(sub) for sub, kind in zip(parts, kinds) if kind == "affine"]
+        series = finite_poincare(finite) if affine else None
+        for degrees in affine:
+            series = IntPolynomial(series_mul(affine_poincare(degrees, max(bound, max_order)), series).coeffs)
+        size = sum(series.coeffs[:bound + 1]) if affine else math.prod(finite)
+        if best is None or size > best[0]:
+            best = size, node, finite, series
+    if best is None:
+        return (1,) * rank, IntPolynomial((1,))
+    _, k, finite, series = best
+    whole = series is None
+    factor = finite_poincare(finite) if whole else IntPolynomial(series.coeffs[:max_order + 1])
     if oracle:  # an orbit that outlives a whole factor differs from it at the next level
         _check_factor(gcm.delete_node(gcm.labels[k]), factor, factor.degree + 1 if whole else max_order)
     return tuple(int(mu == k) for mu in range(rank)), factor
@@ -1037,7 +1019,7 @@ def enumerate_levels(
     earlier level.  W_J(t), from root heights and Bott's formula, must
     equal the product of the orbit oracle's level counts over a connected
     chain of J (:func:`_check_factor`): through max_order, or, for a finite
-    W_J of an infinite W, one level past its longest element.  A mismatch raises RuntimeError.  The levels
+    W_J, one level past its longest element.  A mismatch raises RuntimeError.  The levels
     and oracle states held past the memory budget raise
     :class:`LevelTooLargeError`.
     """

@@ -1,5 +1,6 @@
 import itertools
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +243,29 @@ def test_cartan_type_of_every_rank_two_matrix_with_a_bond_product_up_to_six():
             kind = "finite" if a * b < 4 else "affine" if a * b == 4 else "indefinite"
             assert cartan_type(gcm) == kind, (a, b)
             assert is_finite_type(gcm) == (kind == "finite")
+
+
+def test_cartan_type_calls_every_matrix_with_no_symmetriser_indefinite(connected_gcms):
+    # cartan_type reads the leading minors alone.  A finite or affine
+    # matrix has a symmetriser, d_i a_ij = d_j a_ji with every d_i > 0, so
+    # one with none must come out indefinite: every connected GCM of rank 3
+    # with bonds down to -4, in every node order and orientation.  The
+    # reference spreads d from d_0 = 1 along the bonds, in Fractions, and
+    # checks it on every bond.
+    seen = none = 0
+    for gcm in connected_gcms(3, (1, 2, 3, 4)):
+        a, d, todo = gcm.entries, [Fraction(1), None, None], [0]
+        while todo:
+            i = todo.pop()
+            for j in range(3):
+                if a[i][j] and d[j] is None:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+                    todo.append(j)
+        seen += 1
+        if any(d[i] * a[i][j] != d[j] * a[j][i] for i in range(3) for j in range(i) if a[i][j]):
+            none += 1
+            assert cartan_type(gcm) == "indefinite", a
+    assert (seen, none) == (4_864, 3_756)
 
 
 @st.composite

@@ -1,5 +1,4 @@
 import importlib.util
-import itertools
 import tempfile
 from collections import Counter
 from dataclasses import replace
@@ -366,8 +365,9 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     # orbit oracle's count of the whole group, the sizes of the whole-group
     # levels of level_sets, and the count under the full-history check of
     # the walks it takes.  W_J gives W_J(t): the whole count of its orbit of
-    # rho when that ends and W is infinite, and otherwise, for a finite W
-    # or an affine component in W_J, its levels through the order.
+    # rho when that ends, for a finite W as for an infinite one, and
+    # otherwise, for an affine component in W_J, its levels through the
+    # order.
     # Neither reference calls _parabolic, is_finite_type or cartan_type.
     order = 8
     lam, factor = weyl._parabolic(gcm, order)
@@ -392,7 +392,7 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
         # Of rank 3 at most, so its longest element has length 9 at most.
         sub = gcm.delete_node(gcm.labels[lam.index(1)])
         sub_series = weyl_orbit_oracle(sub, 10)
-        whole = sub_series.complete and not is_finite_type(gcm)
+        whole = sub_series.complete
         assert factor.coeffs == sub_series.coeffs[:None if whole else order + 1]
         if not sub_series.complete:  # an affine component: W_J(t) is Bott's series
             assert not is_finite_type(gcm)
@@ -416,13 +416,26 @@ def test_parabolic_lambda_does_not_depend_on_the_order(name, nodes):
     assert len({weyl._parabolic(gcm, n)[0] for n in range(31)}) == 1
 
 
+FINITE_CATALOGUE = ([f"A{r}" for r in range(1, 9)] + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
+                    + [f"D{r}" for r in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def test_parabolic_lambda_of_every_catalogue_type():
+    # The waiting rows of a checkpoint of format 8 are lambda - w(lambda),
+    # so the node a count leaves out is part of the format: the last node
+    # of a finite type, node 0 of affine A_n and node -1 of HA_n.
+    left_out = {**{name: build_catalog(name).gcm.labels[-1] for name in FINITE_CATALOGUE},
+                **{f"AffA{r}": "0" for r in range(1, 8)}, **{f"HA{r}": "-1" for r in range(2, 11)}}
+    for name, label in left_out.items():
+        gcm = build_catalog(name).gcm
+        assert weyl._parabolic(gcm, 10)[0] == tuple(int(mu == label) for mu in gcm.labels), name
+
+
 def test_finite_longest_elements_lie_within_the_whole_count_bound():
     # An infinite W counts each finite W_J of rank r through one level past
     # r max(r, 15).  The longest element of every finite type in the
     # catalogue has length N = sum(d_i - 1) at most that, and E8 meets it.
-    names = ([f"A{r}" for r in range(1, 9)] + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
-             + [f"D{r}" for r in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
-    for name in names:
+    for name in FINITE_CATALOGUE:
         desc = build_catalog(name)
         rank = desc.gcm.rank
         length = sum(d - 1 for d in invariant_degrees(desc))
@@ -453,9 +466,7 @@ def test_each_ha_factors_out_its_largest_finite_subgroup_whole(n, name, node):
 
 def test_root_heights_give_the_degrees_of_every_catalogue_finite_type():
     # Kostant's height theorem against the table of invariant_degrees.
-    names = ([f"A{r}" for r in range(1, 9)] + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
-             + [f"D{r}" for r in range(3, 9)] + ["E6", "E7", "E8", "F4", "G2"])
-    for name in names:
+    for name in FINITE_CATALOGUE:
         desc = build_catalog(name)
         assert weyl._root_degrees(desc.gcm) == tuple(sorted(invariant_degrees(desc))), name
 
@@ -502,11 +513,11 @@ def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys)
 
 @pytest.mark.parametrize("name,order", [("HA3", 27), ("HA7", 4), ("E8", 121)])
 def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, name, order):
-    # W_J(t) comes from root heights, so W^J is the one walk.  A finite W
-    # tests itself and closes the roots of its W_J.  An infinite W tests
-    # itself, then types each connected component of a W_J once and closes
-    # its roots once: HA3 has six (affine A3, A1, A3, A4 twice, D4), HA7
-    # ten.
+    # W_J(t) comes from root heights, so W^J is the one walk.  W tests
+    # itself once, then types each connected component of a candidate W_J
+    # once and closes its roots once, and no node set twice: HA3 has six
+    # (affine A3, A1, A3, A4 twice, D4), HA7 ten, and E8, whose one
+    # candidate is E7, one.
     calls = {"finite": 0, "walks": 0}
     typed, closed = [], []
     is_finite, count = weyl.is_finite_type, weyl._count
@@ -531,26 +542,13 @@ def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, 
     gcm = build_catalog(name).gcm
     enumerate_levels(gcm, order)
     assert calls["finite"] == 1
-    assert len(typed) == {"HA3": 6, "HA7": 10, "E8": 0}[name]
-    assert sorted(closed) == sorted(typed or [gcm.labels[:-1]])
+    assert len(typed) == {"HA3": 6, "HA7": 10, "E8": 1}[name]
+    assert len({frozenset(labels) for labels in typed}) == len(typed)
+    assert closed == typed
     assert calls["walks"] == 1
 
 
-def _connected_gcms(rank, bonds):
-    """Every connected GCM of the rank whose off-diagonal entries are 0 or
-    minus one of ``bonds``; every node order of a matrix is among them."""
-    pairs = [(0, 0)] + [(-a, -b) for a in bonds for b in bonds]
-    edges = [(i, j) for i in range(rank) for j in range(i + 1, rank)]
-    for choice in itertools.product(pairs, repeat=len(edges)):
-        m = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
-        for (i, j), (a, b) in zip(edges, choice):
-            m[i][j], m[j][i] = a, b
-        gcm = validate_gcm(m)
-        if len(weyl._components(gcm, range(rank))) == 1:
-            yield gcm
-
-
-def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle():
+def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle(connected_gcms):
     # The connected affine GCMs of rank 2 and 3 with bonds down to -4, in
     # every node order and orientation: A1^(1) and A2^(2) (1 + 2 matrices),
     # then A2^(1), C2^(1), D3^(2), A4^(2), G2^(1) and D4^(3) (1 + 3 + 3 + 6
@@ -560,7 +558,7 @@ def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle():
     # oracle's count of the affine group through order 20.
     found = Counter()
     for rank in (2, 3):
-        for gcm in _connected_gcms(rank, (1, 2, 3, 4)):
+        for gcm in connected_gcms(rank, (1, 2, 3, 4)):
             if cartan_type(gcm) != "affine":
                 continue
             found[rank] += 1
