@@ -6,6 +6,11 @@ arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
 enumeration invariant failed, or the root closure of a W_J component
 called finite or affine did not end).
 All numeric output is exact decimal integers.
+
+verify-paper runs one loop over the reference quotients of
+``golden.QUOTIENT_FACTORS``, each over its hyperbolic growth series (HA2
+or HA3), and ``--debug-full-dedup`` is passed on to
+:func:`~weylgrowth.weyl.enumerate_levels`, the one place that reads it.
 """
 
 from __future__ import annotations
@@ -217,67 +222,61 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _item(item: str, status: str, expected="", actual="") -> dict:
+    """One verify-paper check, its values as text."""
+    return {"item": item, "status": status, "expected": str(expected), "actual": str(actual)}
+
+
 def _verify_report(order: int, margin: int) -> list[dict]:
-    """Run every reference check, at reduced order where applicable."""
-    items: list[dict] = []
+    """Run every reference check, at reduced order where applicable.
 
-    def add(item: str, status: str, expected="", actual=""):
-        items.append({"item": item, "status": status, "expected": str(expected), "actual": str(actual)})
+    Each quotient of ``golden.QUOTIENT_FACTORS`` is fitted over its
+    hyperbolic growth series when that reaches the degree of the
+    candidate's polynomial plus the margin, and otherwise checked as the
+    prefix of the series quotient that the series reaches.
+    """
+    growths = {name: enumerate_levels(build_catalog(name).gcm, min(order, top))
+               for name, top in (("HA3", 27), ("HA2", 24))}
+    g3 = growths["HA3"]
+    expected3 = golden.HA3_GROWTH_REFERENCE[: min(order, 27) + 1]
+    items = [_item("growth-ha3", "pass" if g3.coeffs == expected3 else "fail",
+                   list(expected3), list(g3.coeffs))]
 
-    ha3 = build_catalog("HA3")
-    ha2 = build_catalog("HA2")
-    ha3_order = min(order, 27)
-    ha2_order = min(order, 24)
-    g3 = enumerate_levels(ha3.gcm, ha3_order)
-    g2 = enumerate_levels(ha2.gcm, ha2_order)
-
-    expected3 = golden.HA3_GROWTH_REFERENCE[: ha3_order + 1]
-    add("growth-ha3", "pass" if g3.coeffs == expected3 else "fail",
-        list(expected3), list(g3.coeffs))
-
-    fitted: dict[tuple[str, str], IntPolynomial] = {}
-
-    def check_quotient(hyp_name: str, growth: GrowthSeries, cand_name: str):
-        expected_q = expand_factored(
-            IntPolynomial(f) for f in golden.QUOTIENT_FACTORS[(hyp_name, cand_name)]
-        )
+    # Each quotient fitted at full order: the quotient when the fit passed, None when it failed.
+    fitted: dict[tuple[str, str], IntPolynomial | None] = {}
+    for (hyp_name, cand_name), factors in golden.QUOTIENT_FACTORS.items():
+        growth = growths[hyp_name]
+        expected_q = expand_factored(map(IntPolynomial, factors))
         numerator = finite_poincare(invariant_degrees(build_catalog(cand_name)))
         item = f"fit-{hyp_name.lower()}-{cand_name.lower()}"
-        if growth.order >= numerator.degree + margin:
-            result = ratio_fit(numerator, growth, margin)
-            ok = (
-                result.is_polynomial
-                and result.quotient == expected_q
-                and series_mul(growth, result.quotient).coeffs
-                == TruncatedSeries.from_polynomial(numerator, growth.order).coeffs
-            )
-            if ok:
-                fitted[(hyp_name, cand_name)] = result.quotient
-            add(item, "pass" if ok else "fail",
-                list(expected_q.coeffs),
-                list(result.quotient.coeffs) if result.quotient is not None
-                else f"non_terminating {list(result.evidence)}")
-        else:
+        if growth.order < numerator.degree + margin:
             q = series_div(numerator, growth, growth.order).coeffs
             want = TruncatedSeries.from_polynomial(expected_q, growth.order).coeffs
-            add(f"{item}-prefix", "pass" if q == want else "fail", list(want), list(q))
-
-    check_quotient("HA3", g3, "D5")
-    check_quotient("HA2", g2, "D4")
-    check_quotient("HA2", g2, "A3")
-    check_quotient("HA2", g2, "A4")
+            items.append(_item(f"{item}-prefix", "pass" if q == want else "fail", list(want), list(q)))
+            continue
+        result = ratio_fit(numerator, growth, margin)
+        ok = (
+            result.is_polynomial
+            and result.quotient == expected_q
+            and series_mul(growth, result.quotient).coeffs
+            == TruncatedSeries.from_polynomial(numerator, growth.order).coeffs
+        )
+        fitted[(hyp_name, cand_name)] = result.quotient if ok else None
+        items.append(_item(item, "pass" if ok else "fail", list(expected_q.coeffs),
+                           list(result.quotient.coeffs) if result.quotient is not None
+                           else f"non_terminating {list(result.evidence)}"))
 
     for hyp_name, cand_name in golden.NON_TERMINATING_CANDIDATES:
         numerator = finite_poincare(invariant_degrees(build_catalog(cand_name)))
         item = f"nonterminating-{hyp_name.lower()}-{cand_name.lower()}"
-        growth = g3 if hyp_name == "HA3" else g2
+        growth = growths[hyp_name]
         if growth.order < numerator.degree + margin:
-            add(item, "skip", "", f"needs order >= {numerator.degree + margin}")
+            items.append(_item(item, "skip", "", f"needs order >= {numerator.degree + margin}"))
             continue
         result = ratio_fit(numerator, growth, margin)
         ok = not result.is_polynomial and len(result.evidence) > 0
-        add(item, "pass" if ok else "fail",
-            "non_terminating with evidence", f"{result.verdict} {list(result.evidence)}")
+        items.append(_item(item, "pass" if ok else "fail",
+                           "non_terminating with evidence", f"{result.verdict} {list(result.evidence)}"))
 
     for cand_name in ("A2", "A3", "A4", "D4", "D5"):
         desc = build_catalog(cand_name)
@@ -285,9 +284,9 @@ def _verify_report(order: int, margin: int) -> list[dict]:
         expected_total = algebra.weyl_group_order(desc)
         poincare = finite_poincare(invariant_degrees(desc))
         ok = series.complete and series.total == expected_total and series.coeffs == poincare.coeffs
-        add(f"finite-order-{cand_name.lower()}", "pass" if ok else "fail",
-            f"total {expected_total}, coeffs {list(poincare.coeffs)}",
-            f"total {series.total}, coeffs {list(series.coeffs)}, complete {series.complete}")
+        items.append(_item(f"finite-order-{cand_name.lower()}", "pass" if ok else "fail",
+                           f"total {expected_total}, coeffs {list(poincare.coeffs)}",
+                           f"total {series.total}, coeffs {list(series.coeffs)}, complete {series.complete}"))
 
     bott_order = min(15, order)
     for base in ("A1", "A2"):
@@ -295,19 +294,22 @@ def _verify_report(order: int, margin: int) -> list[dict]:
         series = enumerate_levels(desc.gcm, bott_order)
         expected = affine_poincare(invariant_degrees(build_catalog(base)), bott_order)
         ok = not series.complete and series.coeffs == expected.coeffs
-        add(f"affine-series-{base.lower()}", "pass" if ok else "fail",
-            list(expected.coeffs), list(series.coeffs))
+        items.append(_item(f"affine-series-{base.lower()}", "pass" if ok else "fail",
+                           list(expected.coeffs), list(series.coeffs)))
 
     quotient = fitted.get(("HA2", "D4"))
     if quotient is None:
-        add("cyclotomic-content-ha2-d4", "skip", "", "needs the full HA2/D4 fit (order >= 17)")
+        items.append(_item("cyclotomic-content-ha2-d4", "skip", "",
+                           "the HA2/D4 fit failed" if ("HA2", "D4") in fitted
+                           else "needs the full HA2/D4 fit (order >= 17)"))
     else:
         factors, residual = cyclotomic_trial_division(quotient, 12)
         ok = (factors == golden.HA2_D4_CYCLOTOMIC_FACTORS
               and residual.coeffs == golden.HA2_D4_CYCLOTOMIC_RESIDUAL)
-        add("cyclotomic-content-ha2-d4", "pass" if ok else "fail",
-            f"factors {golden.HA2_D4_CYCLOTOMIC_FACTORS}, residual {golden.HA2_D4_CYCLOTOMIC_RESIDUAL}",
-            f"factors {factors}, residual {tuple(residual.coeffs)}")
+        items.append(_item("cyclotomic-content-ha2-d4", "pass" if ok else "fail",
+                           f"factors {golden.HA2_D4_CYCLOTOMIC_FACTORS}, "
+                           f"residual {golden.HA2_D4_CYCLOTOMIC_RESIDUAL}",
+                           f"factors {factors}, residual {tuple(residual.coeffs)}"))
 
     return items
 

@@ -18,13 +18,14 @@ when pair[mu] > lambda_mu, and c = 0 is a move inside the coset, which is
 neither up nor down.  The matrix alone fixes J: :func:`_parabolic` types
 each component of each candidate J with :func:`cartan_type`, in one loop
 for a finite W and an infinite one, and states the rule.  W_J(t) has a
-closed form, with no walk: each finite component gives the polynomial of
-the degrees read off the heights of its positive roots
-(:func:`_root_degrees`), and each affine one Bott's series for the
-degrees of its finite part (:func:`_base_degrees`).  So every count
-makes one walk, of the quotient, with :func:`_quotient`, with or without
-a checkpoint and with or without the full-history cross-check;
-:func:`level_sets` walks the whole group with the same :func:`_count`.
+closed form, with no walk: one Bott series over the degrees of the finite
+parts W_0 of all its affine components together (:func:`_base_degrees`),
+times the polynomial of the degrees of its finite components, read off
+the heights of their positive roots (:func:`_root_degrees`).  So every
+count makes one walk, of the quotient: :func:`_quotient`, with or without
+a checkpoint, or :func:`_whole_levels` under the full-history
+cross-check; :func:`level_sets` walks the whole group with the same
+:func:`_count`.
 
 An up-move is kept only when its node is the smallest left descent of the
 child (the canonical parent, as in du Cloux's Coxeter programs and
@@ -52,10 +53,11 @@ included.
 One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
 Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
-the levels of the orbit of rho.  The full-history cross-check of
-:func:`enumerate_levels` runs the walk a count takes, of W^J, and compares
-every whole level, as a set, with the orbit of lambda; it checks W_J(t)
-against a product of orbit counts over a chain of J (:func:`_check_factor`).
+the levels of the orbit of rho.  The full-history cross-check is read in
+one place, :func:`enumerate_levels`: it checks W_J(t) against a product of
+orbit counts over a chain of J (:func:`_check_factor`), then runs the walk
+a count takes, of W^J, and compares every whole level, as a set, with the
+orbit of lambda.
 """
 
 from __future__ import annotations
@@ -780,31 +782,36 @@ def _components(gcm: GeneralizedCartanMatrix, nodes) -> list[tuple[int, ...]]:
     return parts
 
 
-def _check_factor(gcm: GeneralizedCartanMatrix, factor: IntPolynomial, order: int) -> None:
-    """Raise RuntimeError unless ``factor`` is W(t) of ``gcm`` through order,
-    as counted by the orbit oracle.
+def _check_factor(gcm: GeneralizedCartanMatrix, lam, factor: IntPolynomial, max_order: int) -> None:
+    """Raise RuntimeError unless ``factor`` is W_J(t), for the J that ``lam``
+    is 0 on, as counted by the orbit oracle.
 
-    For the nodes of ``gcm`` taken component by component as
-    :func:`_components` gives them, and T_n the first n, W_{T_n}(t) is
-    W_{T_{n-1}}(t) times the level counts of the orbit of omega at the n-th
-    node on the submatrix of T_n (:func:`_orbit_levels`).  A connected
-    chain keeps those orbits small: the largest for the E8 of HA7 has 240
-    states, against 241,920 for the same nodes in their own order.  The
-    last node of an affine component has an infinite orbit, of W_0 in the
-    affine group, which the oracle counts through order.  The states are
-    charged to the memory budget as in :func:`_whole_levels`.
+    For the nodes of J taken component by component as :func:`_components`
+    gives them, and T_n the first n, W_{T_n}(t) is W_{T_{n-1}}(t) times the
+    level counts of the orbit of omega at the n-th node on the submatrix of
+    T_n (:func:`_orbit_levels`).  A connected chain keeps those orbits
+    small: the largest for the E8 of HA7 has 240 states, against 241,920
+    for the same nodes in their own order.  How far to check comes from
+    J's own type, not from the factor.  The last node of an affine
+    component has an infinite orbit, of W_0 in the affine group, which the
+    oracle counts through max_order.  When J is finite
+    (:func:`is_finite_type`), every orbit ends by N = r max(r, 15), for r
+    the rank of J (:func:`_positive_roots`), so the check runs one level
+    past N and compares the whole polynomial.  The states are charged to
+    the memory budget as in :func:`_whole_levels`.
     """
-    chain, product = [mu for part in _components(gcm, range(gcm.rank)) for mu in part], IntPolynomial((1,))
-    for n in range(1, gcm.rank + 1):
-        sub = gcm.subdiagram(chain[:n])
+    J = gcm.subdiagram([mu for mu, x in enumerate(lam) if not x])
+    order = J.rank * max(J.rank, 15) + 1 if is_finite_type(J) else max_order
+    chain, product = [mu for part in _components(J, range(J.rank)) for mu in part], IntPolynomial((1,))
+    for n in range(1, J.rank + 1):
+        sub = J.subdiagram(chain[:n])
         counts = [1, *map(len, _budgeted_orbit(sub, order, (0,) * (n - 1) + (1,), 0))]
         product = IntPolynomial((product * IntPolynomial(tuple(counts))).coeffs[:order + 1])
     if product != factor:
-        raise RuntimeError(f"W_J(t) on the nodes {' '.join(gcm.labels)} differs from the orbit oracle's")
+        raise RuntimeError(f"W_J(t) on the nodes {' '.join(J.labels)} differs from the orbit oracle's")
 
 
-def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
-               oracle: bool = False) -> tuple[tuple[int, ...], IntPolynomial]:
+def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int, ...], IntPolynomial]:
     """lambda, in weight coordinates, and W_J(t) for the parabolic subgroup
     W_J that a count factors out of W; lambda depends on the matrix alone,
     never on max_order.
@@ -814,12 +821,13 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
     (:func:`is_finite_type`), and then every W_J is finite too (the
     catalogue's E8 goes to E7), and every node otherwise.  A candidate
     qualifies when each connected component of S less k
-    (:func:`_components`) is finite or affine (:func:`cartan_type`).  A
-    finite component gives the polynomial of its degrees, read off the
-    heights of its positive roots with no walk (:func:`_root_degrees`), and
-    an affine one Bott's series P(t) / prod (1 - t^(d_i - 1))
-    (:func:`affine_poincare`) for the degrees d_i of its largest parabolic
-    subgroup of corank 1, W_0 (:func:`_base_degrees`).
+    (:func:`_components`) is finite or affine (:func:`cartan_type`).  W_J(t)
+    is the product of its components' series, so it is one Bott series
+    P(t) / prod (1 - t^(d_i - 1)) (:func:`affine_poincare`) over the degrees
+    d_i of W_0, the largest parabolic subgroup of corank 1, of every affine
+    component together (:func:`_base_degrees`), times the polynomial of the
+    degrees of the finite ones, read off the heights of their positive
+    roots with no walk (:func:`_root_degrees`).
     The k taken is the one whose W_J(t) has the largest sum of coefficients
     through N = r max(r, 15), for r the rank of W, the first on a tie.  A
     finite W_J ends by then (:func:`_positive_roots`), so its sum is |W_J|,
@@ -834,10 +842,6 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
     root closure when the candidate qualifies.  On a connected W no two
     candidates share a component: a component of S less k is one of S less
     k', for k' != k, only when it is a whole component of S.
-
-    With ``oracle`` the W_J(t) taken is checked against the orbit oracle
-    (:func:`_check_factor`) through max_order, or, when it is whole, one
-    level past its degree.
     """
     rank = gcm.rank
     bound, best = rank * max(rank, 15), None
@@ -847,20 +851,16 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int,
         if "indefinite" in kinds:
             continue
         finite = [d for sub, kind in zip(parts, kinds) if kind == "finite" for d in _root_degrees(sub)]
-        affine = [_base_degrees(sub) for sub, kind in zip(parts, kinds) if kind == "affine"]
-        series = finite_poincare(finite) if affine else None
-        for degrees in affine:
-            series = IntPolynomial(series_mul(affine_poincare(degrees, max(bound, max_order)), series).coeffs)
+        affine = [d for sub, kind in zip(parts, kinds) if kind == "affine" for d in _base_degrees(sub)]
+        series = (series_mul(affine_poincare(affine, max(bound, max_order)), finite_poincare(finite))
+                  if affine else None)
         size = sum(series.coeffs[:bound + 1]) if affine else math.prod(finite)
         if best is None or size > best[0]:
             best = size, node, finite, series
     if best is None:
         return (1,) * rank, IntPolynomial((1,))
     _, k, finite, series = best
-    whole = series is None
-    factor = finite_poincare(finite) if whole else IntPolynomial(series.coeffs[:max_order + 1])
-    if oracle:  # an orbit that outlives a whole factor differs from it at the next level
-        _check_factor(gcm.delete_node(gcm.labels[k]), factor, factor.degree + 1 if whole else max_order)
+    factor = finite_poincare(finite) if series is None else IntPolynomial(series.coeffs[:max_order + 1])
     return tuple(int(mu == k) for mu in range(rank)), factor
 
 
@@ -918,27 +918,23 @@ def _check_waiting_rows(C: _Cartan, stored: LevelCheckpoint, path) -> None:
                                           f"does not reflect down to the identity in {i} steps")
 
 
-def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None,
-              oracle: bool = False) -> IntPolynomial:
+def _quotient(gcm: GeneralizedCartanMatrix, lam, max_order: int, checkpoint=None) -> IntPolynomial:
     """W^J(t) through max_order, for the J that ``lam`` is 0 on: the level
     counts of the depth-first walk of :func:`_count` over the orbit of
     lambda, checked by the edge-count invariant and the growth bound.
 
     A count takes lambda from :func:`_parabolic`, which walks nothing, and
     multiplies the result by W_J(t) (:func:`enumerate_levels`), so this is
-    the one walk a count makes.  With a ``checkpoint`` path the walk is
-    picked up from it (:func:`_start`) and, when there is anything to walk,
-    saved there at most once per _SAVE_EVERY_S seconds and once when it
-    ends; an answer from the stored tally leaves the file as it is.  lambda
-    depends on the matrix alone, so a stored walk is one of the same W^J,
-    and its waiting rows are checked to be elements of it before anything
-    is walked (:func:`_check_waiting_rows`).
-
-    With ``oracle`` the walk holds every level whole instead, and each one
-    must equal the level of the orbit oracle as a set (:func:`_whole_levels`).
+    the one walk a count makes; under the full-history cross-check
+    :func:`enumerate_levels` walks with :func:`_whole_levels` instead, so
+    this function never knows the check is on.  With a ``checkpoint`` path
+    the walk is picked up from it (:func:`_start`) and, when there is
+    anything to walk, saved there at most once per _SAVE_EVERY_S seconds
+    and once when it ends; an answer from the stored tally leaves the file
+    as it is.  lambda depends on the matrix alone, so a stored walk is one
+    of the same W^J, and its waiting rows are checked to be elements of it
+    before anything is walked (:func:`_check_waiting_rows`).
     """
-    if oracle:
-        return IntPolynomial(tuple(map(len, _whole_levels(gcm, max_order, True, lam))))
     stored = (LevelCheckpoint.load(checkpoint, gcm)
               if checkpoint is not None and Path(checkpoint).exists() else None)
     C = _Cartan(gcm.entries, lam)
@@ -1013,15 +1009,15 @@ def enumerate_levels(
     CheckpointMismatchError before anything is walked.
 
     ``full_history_dedup`` checks both factors without changing the
-    product.  The walk of W^J holds its levels whole (:func:`_whole_levels`)
-    and checks each one, as a set, against the level of the orbit oracle
-    of lambda (:func:`_orbit_levels`), which deduplicates against every
-    earlier level.  W_J(t), from root heights and Bott's formula, must
-    equal the product of the orbit oracle's level counts over a connected
-    chain of J (:func:`_check_factor`): through max_order, or, for a finite
-    W_J, one level past its longest element.  A mismatch raises RuntimeError.  The levels
-    and oracle states held past the memory budget raise
-    :class:`LevelTooLargeError`.
+    product; no other function reads it.  W_J(t), from root heights and
+    Bott's formula, must first equal the product of the orbit oracle's
+    level counts over a connected chain of J (:func:`_check_factor`):
+    through max_order, or, when J is finite, whole.  Then the walk of W^J
+    holds its levels whole (:func:`_whole_levels`) and checks each one, as a
+    set, against the level of the orbit oracle of lambda
+    (:func:`_orbit_levels`), which deduplicates against every earlier level.
+    A mismatch raises RuntimeError.  The levels and oracle states held past
+    the memory budget raise :class:`LevelTooLargeError`.
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")
@@ -1029,8 +1025,13 @@ def enumerate_levels(
         raise ValueError("workers must be >= 1")
     if full_history_dedup and checkpoint_path is not None:
         raise ValueError("full-history dedup requires a fresh run, not a checkpointed one")
-    lam, factor = _parabolic(gcm, max_order, full_history_dedup)
-    coeffs = (_quotient(gcm, lam, max_order, checkpoint_path, full_history_dedup) * factor).coeffs
+    lam, factor = _parabolic(gcm, max_order)
+    if full_history_dedup:
+        _check_factor(gcm, lam, factor, max_order)
+        quotient = IntPolynomial(tuple(map(len, _whole_levels(gcm, max_order, True, lam))))
+    else:
+        quotient = _quotient(gcm, lam, max_order, checkpoint_path)
+    coeffs = (quotient * factor).coeffs
     return GrowthSeries(coeffs[:max_order + 1], len(coeffs) <= max_order)
 
 

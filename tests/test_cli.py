@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, weyl
+from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, golden, weyl
 from weylgrowth.cli import main
 
 
@@ -99,6 +99,51 @@ def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monk
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: level ")
+
+
+def test_growth_past_the_coordinate_budget_exits_3(capsys, tmp_path):
+    # The triple bond's coordinates grow geometrically and cross the
+    # checked 64-bit budget before order 100: an OverflowError, exit 3,
+    # with nothing printed.
+    path = tmp_path / "triple.json"
+    path.write_text(json.dumps({"labels": ["0", "1"], "matrix": [[2, -3], [-3, 2]]}))
+    code = main(["growth", "--gcm-file", str(path), "--order", "100"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert "budget" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--order", "-1"], "must be >= 0"),
+    (["--order", "3", "--workers", "0"], "must be >= 1"),
+], ids=["order", "workers"])
+def test_growth_rejects_a_negative_order_and_no_workers(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["growth", "--algebra", "A2", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tally,problem", [
+    ([[1, 1], [4, 4]], "tally of shape (2, 2) for order 6"),
+    ([[1, 1, 0], [-1, 0, 1]], "negative count"),
+    # Level 0 has one up-edge and level 1 one left descent, so the edge
+    # count holds, but HA2 has rank 4 and level 1 five elements.
+    ([[1, 1, 0], [5, 0, 1]], "level 1 has more than rank times the elements of level 0"),
+], ids=["tally-shape", "negative-count", "growth-bound"])
+def test_growth_refuses_a_finished_checkpoint_with_an_inconsistent_tally(capsys, monkeypatch, tmp_path,
+                                                                        tally, problem):
+    # A finished walk of HA2 to order 6, nothing waiting, whose tally is
+    # forged; its digest is computed on save, so only the tally is wrong.
+    monkeypatch.delenv("WEYLGROWTH_CHECKPOINT_DIR", raising=False)
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.npz"
+    weyl.LevelCheckpoint(weyl.gcm_digest(gcm), 6, np.asarray(tally, dtype=np.int64),
+                         np.zeros((0, 2), np.int64), np.zeros((0, gcm.rank), np.int64)).save(ck)
+    code = main(["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert "inconsistent" in captured.err and problem in captured.err
 
 
 def test_growth_unknown_algebra_exits_2(capsys):
@@ -359,6 +404,43 @@ def test_verify_paper_csv(capsys):
     assert all(row[1] in ("pass", "fail", "skip") for row in rows[1:])
 
 
+@pytest.mark.parametrize("order,prefixed,skipped", [
+    (5, {"fit-ha3-d5", "fit-ha2-d4", "fit-ha2-a3", "fit-ha2-a4"},
+     {"nonterminating-ha3-a4": "needs order >= 15", "nonterminating-ha3-a5": "needs order >= 20",
+      "cyclotomic-content-ha2-d4": "needs the full HA2/D4 fit (order >= 17)"}),
+    (17, {"fit-ha3-d5"}, {"nonterminating-ha3-a5": "needs order >= 20"}),
+    (20, {"fit-ha3-d5"}, {}),
+])
+def test_verify_paper_fits_in_full_from_the_numerator_degree_plus_the_margin(capsys, order, prefixed,
+                                                                              skipped):
+    # A quotient is fitted in full once the order reaches the degree of its
+    # numerator, the candidate's Poincare polynomial, plus the margin of 5,
+    # and is otherwise checked as a prefix: P(D5) has degree 20, so D5/HA3
+    # needs 25, P(D4) 12, so D4/HA2 needs 17.  A non-terminating check
+    # needs the same order and is skipped below it.
+    code, out = run(capsys, ["verify-paper", "--order", str(order), "--output", "json"])
+    items = json.loads(out)
+    assert code == 0 and len(items) == 15
+    assert {i["item"] for i in items if i["item"].endswith("-prefix")} == {f"{n}-prefix" for n in prefixed}
+    assert {i["item"]: i["actual"] for i in items if i["status"] == "skip"} == skipped
+    assert all(i["status"] in ("pass", "skip") for i in items)
+
+
+def test_verify_paper_says_a_failed_fit_is_why_it_skips_the_cyclotomic_content(capsys, monkeypatch):
+    # With a wrong last factor in golden's HA2/D4 quotient the full fit
+    # fails, and the cyclotomic content, which divides the fitted quotient,
+    # is skipped because of that failure, not for want of order.
+    factors = golden.QUOTIENT_FACTORS[("HA2", "D4")]
+    monkeypatch.setitem(golden.QUOTIENT_FACTORS, ("HA2", "D4"), factors[:-1] + ((1, -1, 0, 1),))
+    code, out = run(capsys, ["verify-paper", "--order", "17"])
+    lines = out.splitlines()
+    assert code == 1
+    assert ("FAIL  fit-ha2-d4                 expected [1, 0, -1, 2, 0, -1, 2, -1, -1, 1, -1, -1]  "
+            "actual [1, 0, -1, 0, -2, -1, 0, -1, 1, 1, 1, 1]") in lines
+    assert "SKIP  cyclotomic-content-ha2-d4  (the HA2/D4 fit failed)" in lines
+    assert lines[-1] == "15 checks, 1 failed"
+
+
 # ------------------------------------------------------ text output, exactly
 
 TEXT_OUTPUTS = {
@@ -423,6 +505,24 @@ TEXT_OUTPUTS = {
         "PASS  affine-series-a1\n"
         "PASS  affine-series-a2\n"
         "SKIP  cyclotomic-content-ha2-d4  (needs the full HA2/D4 fit (order >= 17))\n"
+        "15 checks, 0 failed\n"
+    ),
+    "verify-paper": (
+        "PASS  growth-ha3\n"
+        "PASS  fit-ha3-d5\n"
+        "PASS  fit-ha2-d4\n"
+        "PASS  fit-ha2-a3\n"
+        "PASS  fit-ha2-a4\n"
+        "PASS  nonterminating-ha3-a4\n"
+        "PASS  nonterminating-ha3-a5\n"
+        "PASS  finite-order-a2\n"
+        "PASS  finite-order-a3\n"
+        "PASS  finite-order-a4\n"
+        "PASS  finite-order-d4\n"
+        "PASS  finite-order-d5\n"
+        "PASS  affine-series-a1\n"
+        "PASS  affine-series-a2\n"
+        "PASS  cyclotomic-content-ha2-d4\n"
         "15 checks, 0 failed\n"
     ),
 }

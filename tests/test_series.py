@@ -159,6 +159,17 @@ def test_series_div_rejects_non_unit_constant():
         series_div(IntPolynomial((1,)), TruncatedSeries((2, 1)), 1)
 
 
+def test_series_functions_reject_bad_arguments():
+    with pytest.raises(ValueError, match="order"):
+        series_div(IntPolynomial((1,)), TruncatedSeries((1, 1)), -1)
+    with pytest.raises(ValueError, match="order"):
+        affine_poincare((2,), -1)
+    with pytest.raises(ValueError, match="truncated"):
+        series_mul(IntPolynomial((1, 1)), IntPolynomial((1, -1)))
+    with pytest.raises(ValueError, match="nonzero"):
+        cyclotomic_trial_division(IntPolynomial(()), 12)
+
+
 def test_series_div_needs_enough_numerator_data():
     with pytest.raises(ValueError, match="order"):
         series_div(TruncatedSeries((1, 1)), TruncatedSeries((1, 1, 1)), 2)
