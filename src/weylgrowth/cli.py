@@ -4,7 +4,10 @@ Exit codes: 0 success (all checks pass for verify-paper), 1 verification
 failure, 2 invalid input or a count that does not fit in memory, 3
 arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
 enumeration invariant failed, or the root closure of a W_J component
-called finite or affine did not end).
+called finite or affine did not end).  :func:`main` prints every error a
+command raises once, as one ``error:`` line on stderr, and takes codes 2-5
+from one ordered table of exception types, ``_EXIT_CODES``; argparse
+exits 2 on its own for a malformed command line.
 All numeric output is exact decimal integers.
 
 verify-paper runs one loop over the reference quotients of
@@ -51,6 +54,13 @@ EXIT_INVALID_INPUT = 2
 EXIT_OVERFLOW = 3
 EXIT_CHECKPOINT = 4
 EXIT_INTERNAL = 5
+
+# The exit code of each error a command may raise, the first type that
+# matches winning: CheckpointMismatchError is a RuntimeError, so it comes
+# first.  LevelTooLargeError is a MemoryError.
+_EXIT_CODES = {CheckpointMismatchError: EXIT_CHECKPOINT, OverflowError: EXIT_OVERFLOW,
+               **dict.fromkeys((ValueError, KeyError, OSError, MemoryError), EXIT_INVALID_INPUT),
+               RuntimeError: EXIT_INTERNAL}
 
 
 def _nonneg_int(text: str) -> int:
@@ -335,18 +345,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except CheckpointMismatchError as exc:  # a RuntimeError, so it comes first
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECKPOINT
-    except OverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_OVERFLOW
-    except (ValueError, KeyError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -52,8 +52,9 @@ included.
 
 One reference, :func:`_orbit_levels`, computes the same levels by a
 breadth-first search over the orbit of lambda in weight coordinates, with
-Python integers and no canonical parent.  :func:`weyl_orbit_oracle` counts
-the levels of the orbit of rho.  The full-history cross-check is read in
+Python integers and no canonical parent, and charges the states it holds
+to the memory budget itself.  :func:`weyl_orbit_oracle` counts the levels
+of the orbit of rho.  The full-history cross-check is read in
 one place, :func:`enumerate_levels`: it checks W_J(t) against a product of
 orbit counts over a chain of J (:func:`_check_factor`), then runs the walk
 a count takes, of W^J, and compares every whole level, as a set, with the
@@ -119,7 +120,7 @@ class CheckpointMismatchError(RuntimeError):
 
 
 class LevelTooLargeError(MemoryError):
-    """Whole level sets, with the orbit oracle's states when it runs, would
+    """Whole level sets, the orbit oracle's states, or both together would
     not fit the memory budget.
 
     ``level`` is the word length of the chunk whose copy crossed the budget,
@@ -457,7 +458,13 @@ def _check_levels(tally: list, lo: int, hi: int, rank: int) -> None:
             raise RuntimeError(f"level {i} has more than rank times the elements of level {i - 1}")
 
 
-def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
+def _memory_budget() -> int:
+    """Bytes that the whole levels of :func:`_whole_levels` and the states of
+    :func:`_orbit_levels` may take together: half the physical memory."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
+
+
+def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None, held: int = 0):
     """Yield the vectors lambda - w(lambda) of levels 1..max_order of the
     orbit of lambda, one list per level, up to and including the first
     empty level.
@@ -475,8 +482,14 @@ def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
     RuntimeError.  This shares neither representation nor pairings nor the
     canonical-parent rule with the enumerator.  Python integers keep it
     exact at any size; it is meant for small ranks and orders.
+
+    Every caller pays the same memory charge: the states found so far, at
+    _ORACLE_STATE_BYTES each, on top of ``held`` bytes the caller already
+    holds.  Once that passes :func:`_memory_budget`,
+    :class:`LevelTooLargeError` names the level just built, before it is
+    yielded.
     """
-    rank = gcm.rank
+    rank, budget = gcm.rank, _memory_budget()
     columns = [tuple(gcm.entries[nu][mu] for nu in range(rank)) for mu in range(rank)]
     start = (1,) * rank if lam is None else tuple(lam)
     seen = {start: 0}
@@ -494,28 +507,13 @@ def _orbit_levels(gcm: GeneralizedCartanMatrix, max_order: int, lam=None):
                     nxt.append((image, gamma[:mu] + (gamma[mu] + c,) + gamma[mu + 1:]))
                 elif j != k and j != k - 2:
                     raise RuntimeError(f"reflection for level {k} already in level {j}")
+        held += len(nxt) * _ORACLE_STATE_BYTES
+        if held > budget:
+            raise LevelTooLargeError(k, held, budget)
         yield [gamma for _, gamma in nxt]
         if not nxt:
             return
         frontier = nxt
-
-
-def _memory_budget() -> int:
-    """Bytes the whole levels and oracle states of :func:`_whole_levels` may
-    take: half the physical memory."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
-
-
-def _budgeted_orbit(gcm: GeneralizedCartanMatrix, max_order: int, lam, held: int):
-    """The levels of :func:`_orbit_levels`, with the states found so far
-    charged at _ORACLE_STATE_BYTES each on top of ``held`` bytes; past
-    :func:`_memory_budget` :class:`LevelTooLargeError` names the level."""
-    budget = _memory_budget()
-    for k, level in enumerate(_orbit_levels(gcm, max_order, lam), 1):
-        held += len(level) * _ORACLE_STATE_BYTES
-        if held > budget:
-            raise LevelTooLargeError(k, held, budget)
-        yield level
 
 
 def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = False, lam=None) -> list:
@@ -529,10 +527,8 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
     :class:`LevelTooLargeError` names the level of the chunk copied last.
     With ``oracle`` every level, the empty one that ends a finite W^J
     included, must equal that of :func:`_orbit_levels` for the same lambda
-    as a set of rows.
-    The oracle keeps every state it has found, so each level it yields is
-    charged to the same budget, at _ORACLE_STATE_BYTES a state, on top of
-    the rows; past the budget :class:`LevelTooLargeError` names that level.
+    as a set of rows.  The oracle charges its states to the same budget on
+    top of the rows held here, and names the level that passes it.
     The tally is checked as a count's is, once the walk ends.
     """
     C = _Cartan(gcm.entries, lam)
@@ -546,7 +542,7 @@ def _whole_levels(gcm: GeneralizedCartanMatrix, max_order: int, oracle: bool = F
             raise LevelTooLargeError(i, held, budget)
     levels = [np.concatenate(level) for level in chunks]
     if oracle:
-        for k, expected in enumerate(_budgeted_orbit(gcm, max_order, lam, held), 1):
+        for k, expected in enumerate(_orbit_levels(gcm, max_order, lam, held), 1):
             level = levels[k].tolist() if k < len(levels) else []
             if len(level) != len(expected) or set(map(tuple, level)) != set(expected):
                 raise RuntimeError(f"level {k} differs from the orbit oracle")
@@ -571,6 +567,7 @@ class LevelCheckpoint:
     or do not match the :attr:`content_digest` stored with them; the count
     that loads it, which knows lambda, then checks that each waiting row is
     an element of W^J of its level (:func:`_check_waiting_rows`).
+    :meth:`_waiting_chunks` is the one reader of that layout.
     """
 
     algebra_digest: str
@@ -590,6 +587,12 @@ class LevelCheckpoint:
         does.  The walk pushes a chunk's children only once it has counted
         the chunk, so every level below this one is fully counted."""
         return int(self.chunks[:, 0].min()) if len(self.chunks) else self.order + 1
+
+    def _waiting_chunks(self) -> list[tuple[int, np.ndarray]]:
+        """(level, rows) for each chunk still waiting, bottom first; the rows
+        are views of :attr:`waiting`."""
+        rows = np.split(self.waiting, np.cumsum(self.chunks[:-1, 1]))
+        return list(zip(self.chunks[:, 0].tolist(), rows))
 
     @property
     def content_digest(self) -> str:
@@ -639,8 +642,6 @@ class LevelCheckpoint:
                     waiting=data["waiting"].astype(np.int64),
                 )
                 digest = str(data["content_digest"])
-        except CheckpointMismatchError:
-            raise
         except (KeyError, TypeError, ValueError, OSError, zipfile.BadZipFile) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
         if state.algebra_digest != gcm_digest(gcm):
@@ -684,6 +685,19 @@ class LevelCheckpoint:
         return ""
 
 
+def _root_bound(rank: int) -> int:
+    """N = r max(r, 15), the most positive roots a finite Weyl group of rank
+    r can have.
+
+    A finite Weyl group of rank r has N = r h / 2 positive roots summed over
+    its components, and its Coxeter number h is at most max(2r, 30), so
+    N <= r max(r, 15), with equality for E8 (Humphreys, *Reflection Groups
+    and Coxeter Groups*, 3.18).  N is also the length of its longest
+    element, so every level of a finite W past N is empty.
+    """
+    return rank * max(rank, 15)
+
+
 def _positive_roots(gcm: GeneralizedCartanMatrix, proper: bool = False) -> set[tuple[int, ...]]:
     """The positive roots of a finite Weyl group over its simple roots or,
     with ``proper``, those of an affine one whose support misses a node.
@@ -697,16 +711,13 @@ def _positive_roots(gcm: GeneralizedCartanMatrix, proper: bool = False) -> set[t
     support misses a node.  Those are the positive roots of the parabolic
     subgroups of corank 1 together.
 
-    A finite Weyl group of rank r has N = r h / 2 positive roots summed over
-    its components, and its Coxeter number h is at most max(2r, 30), so
-    N <= r max(r, 15), with equality for E8 (Humphreys, *Reflection Groups
-    and Coxeter Groups*, 3.18); with ``proper`` the r subgroups of corank 1
-    have fewer than r times that.  An infinite W has infinitely many
-    positive real roots, so a closure that passes that bound raises
-    RuntimeError.
+    A finite Weyl group of rank r has at most :func:`_root_bound` positive
+    roots; with ``proper`` the r subgroups of corank 1 have fewer than r
+    times that.  An infinite W has infinitely many positive real roots, so
+    a closure that passes that bound raises RuntimeError.
     """
     rank = gcm.rank
-    bound = rank * max(rank, 15) * (rank if proper else 1)
+    bound = _root_bound(rank) * (rank if proper else 1)
     columns = list(zip(*gcm.entries))
     # (beta, A beta): s_i moves beta up by -(A beta)_i where that is positive.
     roots = [(tuple(int(i == j) for j in range(rank)), columns[i]) for i in range(rank)]
@@ -795,17 +806,17 @@ def _check_factor(gcm: GeneralizedCartanMatrix, lam, factor: IntPolynomial, max_
     J's own type, not from the factor.  The last node of an affine
     component has an infinite orbit, of W_0 in the affine group, which the
     oracle counts through max_order.  When J is finite
-    (:func:`is_finite_type`), every orbit ends by N = r max(r, 15), for r
-    the rank of J (:func:`_positive_roots`), so the check runs one level
-    past N and compares the whole polynomial.  The states are charged to
-    the memory budget as in :func:`_whole_levels`.
+    (:func:`is_finite_type`), every orbit ends by N, the root bound of J's
+    rank (:func:`_root_bound`), so the check runs one level past N and
+    compares the whole polynomial.  Each orbit search charges its states to
+    the memory budget (:func:`_orbit_levels`).
     """
     J = gcm.subdiagram([mu for mu, x in enumerate(lam) if not x])
-    order = J.rank * max(J.rank, 15) + 1 if is_finite_type(J) else max_order
+    order = _root_bound(J.rank) + 1 if is_finite_type(J) else max_order
     chain, product = [mu for part in _components(J, range(J.rank)) for mu in part], IntPolynomial((1,))
     for n in range(1, J.rank + 1):
         sub = J.subdiagram(chain[:n])
-        counts = [1, *map(len, _budgeted_orbit(sub, order, (0,) * (n - 1) + (1,), 0))]
+        counts = [1, *map(len, _orbit_levels(sub, order, (0,) * (n - 1) + (1,)))]
         product = IntPolynomial((product * IntPolynomial(tuple(counts))).coeffs[:order + 1])
     if product != factor:
         raise RuntimeError(f"W_J(t) on the nodes {' '.join(J.labels)} differs from the orbit oracle's")
@@ -829,8 +840,8 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
     degrees of the finite ones, read off the heights of their positive
     roots with no walk (:func:`_root_degrees`).
     The k taken is the one whose W_J(t) has the largest sum of coefficients
-    through N = r max(r, 15), for r the rank of W, the first on a tie.  A
-    finite W_J ends by then (:func:`_positive_roots`), so its sum is |W_J|,
+    through N, the root bound of W's rank (:func:`_root_bound`), the first
+    on a tie.  A finite W_J ends by then, so its sum is |W_J|,
     the product of its degrees, and only the series of a candidate with an
     affine component is expanded; a W with no affine candidate takes its
     largest finite W_J.  W_J(t) is cut at max_order when a component is
@@ -844,7 +855,7 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
     k', for k' != k, only when it is a whole component of S.
     """
     rank = gcm.rank
-    bound, best = rank * max(rank, 15), None
+    bound, best = _root_bound(rank), None
     for node in [rank - 1] if is_finite_type(gcm) else range(rank):
         parts = [gcm.subdiagram(part) for part in _components(gcm, [mu for mu in range(rank) if mu != node])]
         kinds = [cartan_type(sub) for sub in parts]
@@ -881,8 +892,7 @@ def _start(stored, max_order: int, rank: int) -> tuple[list, list]:
     if stored is None or max_order > stored.order and not (
             stored.complete and len(stored.tally) <= stored.order):
         return [], [(0, np.zeros((1, rank), dtype=np.int64))]
-    rows = np.split(stored.waiting, np.cumsum(stored.chunks[:-1, 1]))
-    stack = [(int(i), chunk) for i, chunk in zip(stored.chunks[:, 0], rows) if i <= max_order]
+    stack = [(i, rows) for i, rows in stored._waiting_chunks() if i <= max_order]
     return stored.tally[:max_order + 1].tolist(), stack
 
 
@@ -890,19 +900,19 @@ def _check_waiting_rows(C: _Cartan, stored: LevelCheckpoint, path) -> None:
     """Raise CheckpointMismatchError unless every waiting row of ``stored``
     at level i is lambda - w(lambda) for a w in W^J of length i.
 
-    The rows of each level are reflected down i times together, with one
-    :func:`_pairings` call a step, each row at its first left descent mu
-    (pair[mu] > lam[mu]), where c = lam[mu] - pair[mu] < 0.  Every row must
-    have a left descent at every step, keep its coordinates nonnegative and
-    be 0 at the end.  Such a row is the identity reflected back up along i
-    descents, so an element of W^J of length i.  A row past the coordinate
+    The rows of each chunk, of level i, are reflected down i times
+    together, on a copy, with one :func:`_pairings` call a step, each row
+    at its first left descent mu (pair[mu] > lam[mu]), where c = lam[mu] -
+    pair[mu] < 0.  Every row must have a left descent at every step, keep
+    its coordinates nonnegative and be 0 at the end.  Such a row is the
+    identity reflected back up along i descents, so an element of W^J of
+    length i.  A row past the coordinate
     budget raises OverflowError before it is paired, as the walk would on
     popping it.  A valid row that the tally already counts passes: only the
     edge-count invariant catches it, once the walk ends.
     """
-    levels = np.repeat(stored.chunks[:, 0], stored.chunks[:, 1])
-    for i in sorted(set(stored.chunks[:, 0].tolist())):  # np.unique's first call imports numpy.ma: 18 ms
-        rows = stored.waiting[levels == i]
+    for i, rows in stored._waiting_chunks():
+        rows = rows.copy()
         _check_coordinate_budget(C, rows)
         columns, descended = np.arange(len(rows)), True
         for _ in range(i):
@@ -1065,7 +1075,10 @@ def weyl_orbit_oracle(gcm: GeneralizedCartanMatrix, max_order: int) -> GrowthSer
     representation nor dedup logic with :func:`enumerate_levels`.  It raises
     RuntimeError when a reflection lands anywhere but the next level or two
     levels back.  Python integers keep it exact at any size; intended for
-    small ranks and orders.
+    small ranks and orders.  It keeps every state it finds, and once those
+    pass the memory budget (half the physical memory) it raises
+    :class:`LevelTooLargeError`, a ``MemoryError``, naming the level, as
+    every orbit search does (:func:`_orbit_levels`).
     """
     if max_order < 0:
         raise ValueError("max_order must be >= 0")

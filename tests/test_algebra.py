@@ -69,6 +69,11 @@ def test_validate_rejects_non_integer():
         validate_gcm([[2, False], [False, 2]])
 
 
+def test_index_of_an_unknown_label_is_a_key_error():
+    with pytest.raises(KeyError, match="no node labeled 'nope'"):
+        build_catalog("A3").gcm.index_of("nope")
+
+
 def test_validate_label_mismatch():
     with pytest.raises(CartanMatrixError, match="labels"):
         validate_gcm([[2]], labels=("a", "b"))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from weylgrowth import LevelTooLargeError, build_catalog, enumerate_levels, golden, weyl
+from weylgrowth import LevelTooLargeError, build_catalog, cli, enumerate_levels, golden, weyl
 from weylgrowth.cli import main
 
 
@@ -204,6 +204,41 @@ def test_growth_invariant_failure_exits_5(capsys, monkeypatch):
     # HA2's walk, of its quotient by affine A2, has one up-edge from the
     # identity, at node -1, and the child it leads to is dropped.
     assert captured.err.startswith("error: level 1: 1 up-edges lead in, 0 left descents")
+
+
+def test_growth_negative_coordinate_exits_5(capsys, monkeypatch):
+    # The walk checks every child it builds to be nonnegative.
+    children = weyl._children
+
+    def one_negative(*args, **kw):
+        out = children(*args, **kw)
+        out[:1, 0] = -1
+        return out
+
+    monkeypatch.setattr(weyl, "_children", one_negative)
+    code = main(["growth", "--algebra", "HA3", "--order", "6"])
+    captured = capsys.readouterr()
+    assert code == 5 and captured.out == ""
+    assert captured.err == "error: negative coordinate generated: enumeration invariant violated\n"
+
+
+@pytest.mark.parametrize("error,code", [
+    (weyl.CheckpointMismatchError("bad file"), 4),  # a RuntimeError, which would give 5
+    (OverflowError("too big"), 3),
+    (LevelTooLargeError(7, 100, 10), 2),
+    (ValueError("bad value"), 2),
+    (KeyError("nope"), 2),
+    (OSError("no such file"), 2),
+    (RuntimeError("broken"), 5),
+], ids=["checkpoint", "overflow", "memory", "value", "key", "os", "runtime"])
+def test_main_takes_each_exit_code_from_one_table(capsys, monkeypatch, error, code):
+    def raises():
+        raise error
+
+    monkeypatch.setattr(cli, "finite_families_help", raises)
+    assert main(["catalog"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
 def test_growth_lost_leaf_exits_5(capsys, monkeypatch):

@@ -56,6 +56,12 @@ def test_polynomial_arithmetic():
     assert a(10) == 11
 
 
+def test_polynomial_sum_pads_the_shorter_operand_and_products_take_ints_only():
+    assert IntPolynomial((1,)) + IntPolynomial((1, 2)) == IntPolynomial((2, 2))
+    with pytest.raises(TypeError):
+        IntPolynomial((1,)) * 1.5
+
+
 def test_exact_quotient():
     num = IntPolynomial((-1, 0, 0, 1))  # t^3 - 1
     assert num.exact_quotient(IntPolynomial((-1, 1))).coeffs == (1, 1, 1)
@@ -157,6 +163,13 @@ def test_series_div_reciprocal():
 def test_series_div_rejects_non_unit_constant():
     with pytest.raises(NonUnitConstantTermError):
         series_div(IntPolynomial((1,)), TruncatedSeries((2, 1)), 1)
+
+
+def test_truncated_series_needs_a_constant_term():
+    with pytest.raises(ValueError, match="constant term"):
+        TruncatedSeries(())
+    with pytest.raises(ValueError, match="constant term"):
+        TruncatedSeries.from_polynomial(IntPolynomial((1, 1)), -1)
 
 
 def test_series_functions_reject_bad_arguments():

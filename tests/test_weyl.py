@@ -133,6 +133,14 @@ def test_invalid_arguments():
         enumerate_levels(gcm, 3, "ck.npz", full_history_dedup=True)
 
 
+def test_level_sets_and_the_oracle_refuse_a_negative_order():
+    gcm = build_catalog("A2").gcm
+    with pytest.raises(ValueError, match="max_order must be >= 0"):
+        level_sets(gcm, -1)
+    with pytest.raises(ValueError, match="max_order must be >= 0"):
+        weyl_orbit_oracle(gcm, -1)
+
+
 def test_worker_counts_agree():
     gcm = build_catalog("HA2").gcm
     assert enumerate_levels(gcm, 10, workers=1) == enumerate_levels(gcm, 10, workers=4)
@@ -693,6 +701,18 @@ def test_level_sets_refuse_a_level_over_the_memory_budget(monkeypatch):
 
 
 # ------------------------------------------------------------------- oracle
+
+def test_oracle_charges_its_states_to_the_memory_budget(monkeypatch):
+    # The orbit of rho of HA3 holds 2,789 states through level 9, 803,232
+    # bytes at _ORACLE_STATE_BYTES each, and 4,580 through level 10,
+    # 1,319,040 bytes: level 10 is the first past a budget of 1,000,000.
+    monkeypatch.setattr(weyl, "_memory_budget", lambda: 1_000_000)
+    with pytest.raises(LevelTooLargeError, match="budget of 1000000 bytes") as info:
+        weyl_orbit_oracle(build_catalog("HA3").gcm, 12)
+    assert info.value.level == 10
+    assert info.value.bytes_needed == sum(HA3_GROWTH_REFERENCE[1:11]) * weyl._ORACLE_STATE_BYTES
+    assert weyl_orbit_oracle(build_catalog("HA3").gcm, 9).coeffs == HA3_GROWTH_REFERENCE[:10]
+
 
 def test_oracle_a3():
     series = weyl_orbit_oracle(build_catalog("A3").gcm, 30)
