@@ -16,8 +16,8 @@ above holds with lambda_mu = <lambda, alpha_mu^vee>, 1 off J and 0 on J,
 in place of the 1 of rho: c = lambda_nu - pair[nu], mu is a left descent
 when pair[mu] > lambda_mu, and c = 0 is a move inside the coset, which is
 neither up nor down.  The matrix alone fixes J: :func:`_parabolic` types
-each component of each candidate J with :func:`cartan_type`, in one loop
-for a finite W and an infinite one, and states the rule.  W_J(t) has a
+each component of each candidate J, by :func:`cartan_type` when W is
+infinite, in one loop for any W, and states the rule.  W_J(t) has a
 closed form, with no walk: one Bott series over the degrees of the finite
 parts W_0 of all its affine components together (:func:`_base_degrees`),
 times the polynomial of the degrees of its finite components, read off
@@ -829,8 +829,10 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
 
     J is S less one node k, so lambda is the fundamental weight omega_k.
     The candidates for k are the last node when W is finite
-    (:func:`is_finite_type`), and then every W_J is finite too (the
-    catalogue's E8 goes to E7), and every node otherwise.  A candidate
+    (:func:`is_finite_type`), and then every W_J is finite too, since
+    every proper principal submatrix of a finite matrix is (Kac, Lemma
+    4.5), so its components are typed finite with no test (the
+    catalogue's E8 goes to E7); every node is one otherwise.  A candidate
     qualifies when each connected component of S less k
     (:func:`_components`) is finite or affine (:func:`cartan_type`).  W_J(t)
     is the product of its components' series, so it is one Bott series
@@ -848,17 +850,19 @@ def _parabolic(gcm: GeneralizedCartanMatrix, max_order: int) -> tuple[tuple[int,
     affine, and whole otherwise, for a finite W as for an infinite one.  A
     component called finite or affine whose roots pass the bound of its
     type raises RuntimeError.  When no J qualifies, J is empty: lambda is
-    rho and W_J(t) is 1.  :func:`is_finite_type` runs once on W, and
-    :func:`cartan_type` once on each component of each candidate, with one
-    root closure when the candidate qualifies.  On a connected W no two
-    candidates share a component: a component of S less k is one of S less
-    k', for k' != k, only when it is a whole component of S.
+    rho and W_J(t) is 1.  :func:`is_finite_type` runs once on W, and, when
+    W is infinite, :func:`cartan_type` once on each component of each
+    candidate, with one root closure when the candidate qualifies.  On a
+    connected W no two candidates share a component: a component of S
+    less k is one of S less k', for k' != k, only when it is a whole
+    component of S.
     """
     rank = gcm.rank
     bound, best = _root_bound(rank), None
-    for node in [rank - 1] if is_finite_type(gcm) else range(rank):
+    finite_w = is_finite_type(gcm)
+    for node in [rank - 1] if finite_w else range(rank):
         parts = [gcm.subdiagram(part) for part in _components(gcm, [mu for mu in range(rank) if mu != node])]
-        kinds = [cartan_type(sub) for sub in parts]
+        kinds = ["finite"] * len(parts) if finite_w else [cartan_type(sub) for sub in parts]
         if "indefinite" in kinds:
             continue
         finite = [d for sub, kind in zip(parts, kinds) if kind == "finite" for d in _root_degrees(sub)]

@@ -576,3 +576,72 @@ def test_trial_division_reconstructs_input():
         for _ in range(mult):
             rebuilt = rebuilt * (IntPolynomial((1, -1)) if index == 1 else cyclotomic_polynomial(index))
     assert rebuilt == p
+
+
+# ------------------------------------------- carried cyclotomic factors
+
+def _schoolbook(polys):
+    out = [1]
+    for p in polys:
+        product = [0] * (len(out) + len(p) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(p):
+                product[i + j] += x * y
+        out = product
+    return tuple(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(2, 30), min_size=1, max_size=8))
+def test_factors_read_off_finite_poincare_match_trial_division(degrees):
+    # finite_poincare carries its cyclotomic factors; a copy of its
+    # coefficients carries none and is trial-divided, for every cut-off.
+    p = finite_poincare(degrees)
+    assert p.coeffs == _schoolbook((1,) * d for d in degrees)
+    plain = IntPolynomial(p.coeffs)
+    for k in range(1, max(degrees) + 2):
+        assert cyclotomic_trial_division(p, k) == cyclotomic_trial_division(plain, k)
+
+
+def test_cyclotomic_polynomials_match_the_division_chain():
+    # Phi_n = (t^n - 1) / prod of Phi_d over the proper divisors d of n,
+    # divided out one by one; Phi_105 is the first with a coefficient -2.
+    chain = {}
+    for n in range(1, 106):
+        p = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
+        for d in range(1, n):
+            if n % d == 0:
+                p = p.exact_quotient(chain[d])
+        chain[n] = p
+        assert cyclotomic_polynomial(n) == p
+    assert min(chain[105].coeffs) == -2
+
+
+def test_carried_factors_change_no_equality_hash_or_repr():
+    for p in (finite_poincare((2, 8, 12, 14, 18, 20, 24, 30)), cyclotomic_polynomial(12)):
+        plain = IntPolynomial(p.coeffs)
+        assert p == plain and hash(p) == hash(plain)
+        assert repr(p) == repr(plain) and str(p) == str(plain)
+    assert (finite_poincare((2, 4)) * IntPolynomial((1,)))._cyclotomic is None
+
+
+def test_finite_poincare_of_no_degrees_is_one_with_no_factors():
+    p = finite_poincare(())
+    assert p == IntPolynomial((1,)) and p._cyclotomic == ()
+    assert cyclotomic_trial_division(p, 12) == ((), IntPolynomial((1,)))
+
+
+def test_only_a_polynomial_without_carried_factors_is_divided(monkeypatch):
+    calls = []
+    divide = IntPolynomial.exact_quotient
+
+    def counted(self, divisor):
+        calls.append(divisor)
+        return divide(self, divisor)
+
+    monkeypatch.setattr(IntPolynomial, "exact_quotient", counted)
+    p = finite_poincare(invariant_degrees(build_catalog("E8")))
+    factors, residual = cyclotomic_trial_division(p, 30)
+    assert calls == [] and residual == IntPolynomial((1,))
+    assert cyclotomic_trial_division(IntPolynomial(p.coeffs), 30) == (factors, residual)
+    assert calls
