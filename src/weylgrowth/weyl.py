@@ -68,7 +68,6 @@ import json
 import math
 import os
 import time
-import zipfile
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -92,7 +91,14 @@ __all__ = [
 
 # The waiting rows of a checkpoint are lambda - w(lambda) for the lambda
 # that _parabolic picks, so a change to that choice changes the format.
-CHECKPOINT_VERSION = 8
+CHECKPOINT_VERSION = 9
+
+# Formats 8 and older were npz archives, which are zip files.
+_ZIP_MAGIC = b"PK\x03\x04"
+
+# The arrays of a checkpoint, in the order its file stores them.
+_CHECKPOINT_ARRAYS = ("tally", "chunks", "waiting")
+_CHECKPOINT_KEYS = ("version", "algebra_digest", "order", *_CHECKPOINT_ARRAYS, "content_digest")
 
 # Reflection images must stay below 2**_SAFE_BITS so the pairing dot
 # products cannot wrap around; crossing the budget is a hard error.
@@ -568,6 +574,13 @@ class LevelCheckpoint:
     that loads it, which knows lambda, then checks that each waiting row is
     an element of W^J of its level (:func:`_check_waiting_rows`).
     :meth:`_waiting_chunks` is the one reader of that layout.
+
+    The file (format :data:`CHECKPOINT_VERSION`) is one UTF-8 JSON header
+    line, an object with the keys of ``_CHECKPOINT_KEYS``, each array
+    given by its ``[rows, cols]`` shape, then ``tally``, ``chunks`` and
+    ``waiting`` as raw little-endian int64, row by row, with nothing
+    between or after them.  The npz archives of formats 8 and older are
+    refused, not read.
     """
 
     algebra_digest: str
@@ -607,42 +620,64 @@ class LevelCheckpoint:
 
     def save(self, path) -> None:
         """Write the state to a temporary file, sync it to disk and rename
-        it over ``path``."""
+        it over ``path``.  A save that fails leaves ``path`` as it was and
+        removes the temporary file."""
         path = Path(path)
         tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                version=np.int64(CHECKPOINT_VERSION),
-                algebra_digest=np.str_(self.algebra_digest),
-                order=np.int64(self.order),
-                tally=self.tally,
-                chunks=self.chunks,
-                waiting=self.waiting,
-                content_digest=np.str_(self.content_digest),
-            )
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        arrays = [np.ascontiguousarray(getattr(self, name), dtype="<i8") for name in _CHECKPOINT_ARRAYS]
+        header = {"version": CHECKPOINT_VERSION, "algebra_digest": self.algebra_digest,
+                  "order": int(self.order),
+                  **{name: list(a.shape) for name, a in zip(_CHECKPOINT_ARRAYS, arrays)},
+                  "content_digest": self.content_digest}
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+                for a in arrays:
+                    fh.write(a.tobytes())
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @staticmethod
     def load(path, gcm: GeneralizedCartanMatrix) -> "LevelCheckpoint":
         """Read a checkpoint, which must have been written for ``gcm``."""
         try:
-            with np.load(Path(path), allow_pickle=False) as data:
-                version = int(data["version"])
-                if version != CHECKPOINT_VERSION:
-                    raise CheckpointMismatchError(f"checkpoint format version {version}, "
-                                                  f"expected {CHECKPOINT_VERSION}")
-                state = LevelCheckpoint(
-                    algebra_digest=str(data["algebra_digest"]),
-                    order=int(data["order"]),
-                    tally=data["tally"].astype(np.int64),
-                    chunks=data["chunks"].astype(np.int64),
-                    waiting=data["waiting"].astype(np.int64),
-                )
-                digest = str(data["content_digest"])
-        except (KeyError, TypeError, ValueError, OSError, zipfile.BadZipFile) as exc:
+            data = Path(path).read_bytes()
+            if data.startswith(_ZIP_MAGIC):
+                raise CheckpointMismatchError(f"checkpoint format version 8 or older (an npz archive), "
+                                              f"expected {CHECKPOINT_VERSION}")
+            line, newline, payload = data.partition(b"\n")
+            if not newline:
+                raise ValueError("no header line")
+            header = json.loads(line.decode())
+            if not isinstance(header, dict):
+                raise ValueError("the header is not a JSON object")
+            if "version" in header and header["version"] != CHECKPOINT_VERSION:
+                raise CheckpointMismatchError(f"checkpoint format version {header['version']}, "
+                                              f"expected {CHECKPOINT_VERSION}")
+            missing = [key for key in _CHECKPOINT_KEYS if key not in header]
+            if missing:
+                raise ValueError(f"the header lacks {', '.join(missing)}")
+            shapes = [header[name] for name in _CHECKPOINT_ARRAYS]
+            if not all(isinstance(shape, list) and len(shape) == 2
+                       and all(type(n) is int and n >= 0 for n in shape) for shape in shapes):
+                raise ValueError(f"array shapes {shapes} are not pairs of nonnegative integers")
+            if not (type(header["order"]) is int and isinstance(header["algebra_digest"], str)
+                    and isinstance(header["content_digest"], str)):
+                raise ValueError("the order is not an integer or a digest not a string")
+            sizes = [rows * cols for rows, cols in shapes]
+            if 8 * sum(sizes) != len(payload):  # checked before any array is made
+                raise ValueError(f"array shapes {shapes} need {8 * sum(sizes)} bytes "
+                                 f"after the header, not {len(payload)}")
+            values = np.split(np.frombuffer(payload, dtype="<i8").astype(np.int64),
+                              np.cumsum(sizes[:-1]))
+            state = LevelCheckpoint(header["algebra_digest"], header["order"],
+                                    *(v.reshape(shape) for v, shape in zip(values, shapes)))
+            digest = header["content_digest"]
+        except (ValueError, RecursionError, OSError) as exc:
             raise CheckpointMismatchError(f"unreadable checkpoint {path}: {exc}") from exc
         if state.algebra_digest != gcm_digest(gcm):
             raise CheckpointMismatchError("checkpoint belongs to a different algebra")

@@ -1,7 +1,9 @@
 import itertools
+import json
 import os
 
 import pytest
+import numpy as np
 from hypothesis import settings
 
 from weylgrowth import build_catalog, enumerate_levels, validate_gcm
@@ -40,3 +42,27 @@ def connected_gcms():
             if len(weyl._components(gcm, range(rank))) == 1:
                 yield gcm
     return generate
+
+
+_CHECKPOINT_ARRAYS = ("tally", "chunks", "waiting")
+
+
+def _read_checkpoint(path):
+    """The header fields and arrays of a checkpoint file of format 9, in one
+    dict, with each array in place of its shape."""
+    line, _, payload = path.read_bytes().partition(b"\n")
+    data = json.loads(line)
+    sizes = [rows * cols for rows, cols in (data[name] for name in _CHECKPOINT_ARRAYS)]
+    values = np.split(np.frombuffer(payload, dtype="<i8").astype(np.int64), np.cumsum(sizes[:-1]))
+    data.update({name: v.reshape(data[name]) for name, v in zip(_CHECKPOINT_ARRAYS, values)})
+    return data
+
+
+def _rewrite_checkpoint(path, **changes):
+    """Write the checkpoint at ``path`` again, laid out as format 9, with the
+    header fields and arrays in ``changes`` replaced.  The content digest is
+    kept as stored unless ``changes`` replaces it."""
+    data = {**_read_checkpoint(path), **changes}
+    arrays = [np.asarray(data[name], dtype="<i8") for name in _CHECKPOINT_ARRAYS]
+    data.update({name: list(a.shape) for name, a in zip(_CHECKPOINT_ARRAYS, arrays)})
+    path.write_bytes(json.dumps(data).encode() + b"\n" + b"".join(a.tobytes() for a in arrays))

@@ -8,6 +8,8 @@ import pytest
 from weylgrowth import LevelTooLargeError, build_catalog, cli, enumerate_levels, golden, weyl
 from weylgrowth.cli import main
 
+from conftest import _read_checkpoint, _rewrite_checkpoint
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -299,10 +301,9 @@ def test_growth_checkpoint_mismatch_exits_4(capsys, tmp_path):
 def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
     ck = tmp_path / "state.npz"
     run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
-    data = dict(np.load(ck, allow_pickle=False))
-    data["tally"][-1, 0] += 1
-    with open(ck, "wb") as fh:
-        np.savez(fh, **data)
+    tally = _read_checkpoint(ck)["tally"]
+    tally[-1, 0] += 1
+    _rewrite_checkpoint(ck, tally=tally)
     code, out = run(capsys, ["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
     assert code == 4 and out == ""
 

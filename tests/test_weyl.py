@@ -1,5 +1,9 @@
+import errno
 import importlib.util
+import io
+import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -32,6 +36,8 @@ from weylgrowth import (
 )
 from weylgrowth.cli import main
 from weylgrowth.golden import HA3_GROWTH_REFERENCE
+
+from conftest import _read_checkpoint, _rewrite_checkpoint
 
 # Derived by the orbit oracle and cross-checked against the level BFS.
 HA2_GROWTH_PREFIX = (1, 4, 10, 20, 35, 57, 89, 136, 205, 306, 454, 671, 989, 1455, 2138)
@@ -984,74 +990,50 @@ def test_checkpoint_rejects_other_algebra(tmp_path):
         enumerate_levels(build_catalog("A3").gcm, 4, ck)
 
 
-def _rewrite_checkpoint(ck, drop=(), **changes):
-    data = dict(np.load(ck, allow_pickle=False))
-    for key in drop:
-        del data[key]
-    data.update(changes)
-    with open(ck, "wb") as fh:
-        np.savez(fh, **data)
-
-
-def test_checkpoint_rejects_unknown_version(tmp_path):
+def test_checkpoint_rejects_unknown_version(tmp_path, capsys):
     gcm = build_catalog("A2").gcm
     ck = tmp_path / "state.npz"
     enumerate_levels(gcm, 2, ck)
-    _rewrite_checkpoint(ck, version=np.int64(99))
-    with pytest.raises(CheckpointMismatchError, match="version"):
+    _rewrite_checkpoint(ck, version=99)
+    with pytest.raises(CheckpointMismatchError, match="version 99, expected 9"):
         enumerate_levels(gcm, 4, ck)
-    # Format version 6: the walk from the identity, with the lambda it walks.
-    v6 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([0, 1]),
-          "order": np.int64(2), "tally": np.asarray([[1, 1, 0], [1, 1, 1], [1, 0, 1]]),
-          "chunks": np.zeros((0, 2)), "waiting": np.zeros((0, 2)),
-          "content_digest": np.str_("0" * 64)}
-    with open(ck, "wb") as fh:
-        np.savez(fh, version=np.int64(6), **v6)
-    with pytest.raises(CheckpointMismatchError, match="version 6"):
-        enumerate_levels(gcm, 4, ck)
-    # Format version 5: the walk from the identity, with a complete flag.
-    v5 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([1, 1]),
-          "order": np.int64(2), "tally": np.asarray([[1, 2, 0], [2, 2, 2], [2, 0, 2]]),
-          "chunks": np.zeros((0, 2)), "waiting": np.zeros((0, 2)), "complete": np.bool_(True),
-          "content_digest": np.str_("0" * 64)}
-    with open(ck, "wb") as fh:
-        np.savez(fh, version=np.int64(5), **v5)
-    with pytest.raises(CheckpointMismatchError, match="version 5"):
-        enumerate_levels(gcm, 4, ck)
-    # Format version 4: the walk from a stored base level.
-    v4 = {"algebra_digest": np.str_(gcm_digest(gcm)), "lam": np.asarray([1, 1]),
-          "order": np.int64(2), "base_index": np.int64(1), "base": np.eye(2, dtype=np.int64),
-          "tally": np.asarray([[1, 2, 0], [2, 2, 2], [2, 0, 2]]), "chunks": np.zeros((0, 2)),
-          "waiting": np.zeros((0, 2)), "complete": np.bool_(True),
-          "content_digest": np.str_("0" * 64)}
-    with open(ck, "wb") as fh:
-        np.savez(fh, version=np.int64(4), **v4)
-    with pytest.raises(CheckpointMismatchError, match="version 4"):
-        enumerate_levels(gcm, 4, ck)
-    # Format version 3: one whole level, its index and the counts so far.
-    old = {"algebra_digest": np.str_(gcm_digest(gcm)), "level_index": np.int64(2),
-           "level": np.asarray([[2, 1], [1, 2]]), "coeffs": np.asarray([1, 2, 2]),
-           "complete": np.bool_(False), "content_digest": np.str_("0" * 64)}
-    with open(ck, "wb") as fh:
-        np.savez(fh, version=np.int64(3), **old)
-    with pytest.raises(CheckpointMismatchError, match="version 3"):
-        enumerate_levels(gcm, 4, ck)
-    # Format version 2: the same layout without the content digest.
-    _rewrite_checkpoint(ck, drop=["content_digest"], version=np.int64(2))
-    with pytest.raises(CheckpointMismatchError, match="version"):
-        enumerate_levels(gcm, 4, ck)
-    # The two-level layout of format version 1.
-    _rewrite_checkpoint(ck, drop=["level"], version=np.int64(1),
-                        older=np.eye(2, dtype=np.int64), newer=np.load(ck)["level"])
-    with pytest.raises(CheckpointMismatchError, match="version"):
-        enumerate_levels(gcm, 4, ck)
+    digest = np.str_(gcm_digest(gcm))
+    # Formats 7 and 8: the walk from the identity, as format 9 stores it.
+    v8 = {"algebra_digest": digest, "order": np.int64(2),
+          "tally": np.asarray([[1, 1, 0], [1, 1, 1], [1, 0, 1]]), "chunks": np.zeros((0, 2)),
+          "waiting": np.zeros((0, 2)), "content_digest": np.str_("0" * 64)}
+    # Format 6: the same, with the lambda it walks.
+    v6 = {**v8, "lam": np.asarray([0, 1])}
+    # Format 5: the walk from the identity, with a complete flag.
+    v5 = {**v6, "lam": np.asarray([1, 1]), "tally": np.asarray([[1, 2, 0], [2, 2, 2], [2, 0, 2]]),
+          "complete": np.bool_(True)}
+    # Format 4: the walk from a stored base level.
+    v4 = {**v5, "base_index": np.int64(1), "base": np.eye(2, dtype=np.int64)}
+    # Format 3: one whole level, its index and the counts so far.
+    v3 = {"algebra_digest": digest, "level_index": np.int64(2),
+          "level": np.asarray([[2, 1], [1, 2]]), "coeffs": np.asarray([1, 2, 2]),
+          "complete": np.bool_(False), "content_digest": np.str_("0" * 64)}
+    # Format 2: the same layout without the content digest.
+    v2 = {key: value for key, value in v3.items() if key != "content_digest"}
+    # The two-level layout of format 1.
+    v1 = {**{key: value for key, value in v2.items() if key != "level"},
+          "older": np.eye(2, dtype=np.int64), "newer": v3["level"]}
+    for version, members in ((8, v8), (7, v8), (6, v6), (5, v5), (4, v4), (3, v3), (2, v2), (1, v1)):
+        with open(ck, "wb") as fh:
+            np.savez(fh, version=np.int64(version), **members)
+        with pytest.raises(CheckpointMismatchError,
+                           match=r"version 8 or older \(an npz archive\), expected 9"):
+            enumerate_levels(gcm, 4, ck)
+        assert main(["growth", "--algebra", "A2", "--order", "4", "--checkpoint", str(ck)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and "an npz archive" in captured.err
 
 
 def test_checkpoint_of_format_7_is_refused(monkeypatch, tmp_path, capsys):
-    # Format 7 walked HA3's quotient by D4, the orbit of omega at node 2.
-    # A finished format-7 file holds that walk's tally, which the factor of
-    # affine A3 would turn into wrong coefficients without a walk.  The
-    # count must refuse the file, exit 4.
+    # Format 7 walked HA3's quotient by D4, the orbit of omega at node 2,
+    # and stored it in an npz archive.  A finished format-7 file holds that
+    # walk's tally, which the factor of affine A3 would turn into wrong
+    # coefficients without a walk.  The count must refuse the file, exit 4.
     gcm = build_catalog("HA3").gcm
     ck = tmp_path / "ha3.npz"
     with pytest.MonkeyPatch.context() as patch:
@@ -1061,11 +1043,15 @@ def test_checkpoint_of_format_7_is_refused(monkeypatch, tmp_path, capsys):
     assert old.complete
     stale = IntPolynomial(tuple(old.tally[:, 0])) * weyl._parabolic(gcm, 10)[1]
     assert stale.coeffs[:11] != HA3_GROWTH_REFERENCE[:11]
-    with pytest.raises(CheckpointMismatchError, match="version 7, expected 8"):
+    with open(ck, "wb") as fh:
+        np.savez(fh, version=np.int64(7), algebra_digest=np.str_(old.algebra_digest),
+                 order=np.int64(old.order), tally=old.tally, chunks=old.chunks,
+                 waiting=old.waiting, content_digest=np.str_(old.content_digest))
+    with pytest.raises(CheckpointMismatchError, match=r"version 8 or older \(an npz archive\), expected 9"):
         enumerate_levels(gcm, 10, ck)
     assert main(["growth", "--algebra", "HA3", "--order", "10", "--checkpoint", str(ck)]) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and "version 7" in captured.err
+    assert captured.out == "" and "version 8 or older" in captured.err
 
 
 @pytest.mark.parametrize("edit", [
@@ -1084,7 +1070,7 @@ def test_checkpoint_rejects_inconsistent_contents(monkeypatch, tmp_path, edit):
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 6, ck, 6)
-    data = dict(np.load(ck, allow_pickle=False))
+    data = _read_checkpoint(ck)
     assert data["chunks"].tolist() == [[5, 3]] and len(data["tally"]) == 5
     _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match="inconsistent"):
@@ -1123,7 +1109,7 @@ def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch,
     ck = tmp_path / "ha2.npz"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
-    data = dict(np.load(ck, allow_pickle=False))
+    data = _read_checkpoint(ck)
     assert data["chunks"][:, 0].tolist() == [6, 8, 9] and len(data["tally"]) == 9
     _rewrite_checkpoint(ck, **edit(data))
     with pytest.raises(CheckpointMismatchError, match=f"inconsistent.*{problem}"):
@@ -1214,6 +1200,130 @@ def test_checkpoint_rejects_garbage_file(tmp_path):
     ck.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointMismatchError):
         enumerate_levels(build_catalog("A2").gcm, 4, ck)
+
+
+def _interrupted_ha2(monkeypatch, ck):
+    """HA2 in chunks of 4 rows, interrupted in chunk 10 of the walk to order
+    12, saved to ``ck`` after every chunk; chunks wait at levels 6, 8 and 9."""
+    monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
+    monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
+    with pytest.raises(_Interrupt):
+        _interrupted(build_catalog("HA2").gcm, 12, ck, 10)
+
+
+def _with_header(edit):
+    """The file whose header is ``edit`` of the good one's, a dict, and whose
+    payload is the good one's."""
+    return lambda line, payload: json.dumps(edit(json.loads(line))).encode() + b"\n" + payload
+
+
+def _huge_waiting(line, payload):
+    """A header that claims 10**12 waiting rows, padded to a 1 KiB file."""
+    header = json.loads(line)
+    header = json.dumps({**header, "waiting": [10 ** 12, header["waiting"][1]]}).encode() + b"\n"
+    return header + b"\0" * (1024 - len(header))
+
+
+_CHECKPOINT_KEYS = ("version", "algebra_digest", "order", "tally", "chunks", "waiting",
+                    "content_digest")
+
+# Each malformed file, made from the good one's header line and payload,
+# with the reason load gives for refusing it.
+_MALFORMED = {
+    "empty": (lambda line, payload: b"", "no header line"),
+    "no-newline": (lambda line, payload: line, "no header line"),
+    "not-json": (lambda line, payload: line[:-1] + b"\n" + payload, "Expecting"),
+    "not-utf8": (lambda line, payload: line.replace(b'"order"', b'"\xffrder"') + b"\n" + payload,
+                 "can't decode"),
+    "not-object": (lambda line, payload: b"[" + line + b"]\n" + payload, "not a JSON object"),
+    "nested": (lambda line, payload: b"[" * 50_000 + b"]" * 50_000 + b"\n" + payload, "recursion"),
+    **{f"no-{key}": (_with_header(lambda h, key=key: {k: v for k, v in h.items() if k != key}),
+                     f"lacks {key}$")
+       for key in _CHECKPOINT_KEYS},
+    **{f"shape-{name}": (_with_header(edit), "not pairs of nonnegative integers") for name, edit in (
+        ("arity-3", lambda h: {**h, "waiting": [*h["waiting"], 1]}),
+        ("arity-1", lambda h: {**h, "tally": h["tally"][:1]}),
+        ("not-a-list", lambda h: {**h, "chunks": 6}),
+        ("negative", lambda h: {**h, "chunks": [-h["chunks"][0], 2]}),
+        ("float", lambda h: {**h, "tally": [h["tally"][0], 3.0]}),
+        ("string", lambda h: {**h, "waiting": [str(h["waiting"][0]), h["waiting"][1]]}),
+        ("bool", lambda h: {**h, "tally": [h["tally"][0], True]}),
+    )},
+    "order-float": (_with_header(lambda h: {**h, "order": 12.5}), "not an integer"),
+    "digest-number": (_with_header(lambda h: {**h, "content_digest": 0}), "not a string"),
+    "huge-waiting": (_huge_waiting, r"need 32000000000264 bytes after the header, not \d+$"),
+    "payload-short": (lambda line, payload: line + b"\n" + payload[:-1],
+                      "need 488 bytes after the header, not 487"),
+    "payload-long": (lambda line, payload: line + b"\n" + payload + b"\0",
+                     "need 488 bytes after the header, not 489"),
+}
+
+
+@pytest.mark.parametrize("malform,reason", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_checkpoint_rejects_a_malformed_file(monkeypatch, tmp_path, capsys, malform, reason):
+    # Each malformed file is refused as a checkpoint mismatch, exit 4, and
+    # no JSON or numpy error escapes load.  The forged 10**12 waiting rows
+    # are refused before any array is made.
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.ckpt"
+    _interrupted_ha2(monkeypatch, ck)
+    line, _, payload = ck.read_bytes().partition(b"\n")
+    ck.write_bytes(malform(line, payload))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointMismatchError, match=f"unreadable checkpoint .*{reason}"):
+            weyl.LevelCheckpoint.load(ck, gcm)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    assert main(["growth", "--algebra", "HA2", "--order", "12", "--checkpoint", str(ck)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unreadable checkpoint" in captured.err
+
+
+@pytest.mark.parametrize("interrupted", [False, True], ids=["finished", "interrupted"])
+def test_checkpoint_round_trip(monkeypatch, tmp_path, interrupted):
+    # A saved walk, finished or interrupted (HA2 in chunks of 4 rows), loads
+    # back with equal arrays and the same digest, and saving what was loaded
+    # writes the same bytes again.
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.ckpt"
+    saved, save = [], weyl.LevelCheckpoint.save
+    monkeypatch.setattr(weyl.LevelCheckpoint, "save",
+                        lambda self, path: (saved.append(self), save(self, path)))
+    if interrupted:
+        _interrupted_ha2(monkeypatch, ck)
+    else:
+        monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
+        enumerate_levels(gcm, 12, ck)
+    loaded = weyl.LevelCheckpoint.load(ck, gcm)
+    assert loaded.complete != interrupted and loaded.order == 12
+    for name in ("tally", "chunks", "waiting"):
+        assert np.array_equal(getattr(loaded, name), getattr(saved[-1], name))
+        assert getattr(loaded, name).dtype == np.int64
+    assert loaded.content_digest == saved[-1].content_digest
+    again = tmp_path / "again.ckpt"
+    loaded.save(again)
+    assert again.read_bytes() == ck.read_bytes()
+
+
+def test_failed_checkpoint_save_keeps_the_previous_file(monkeypatch, tmp_path):
+    gcm = build_catalog("HA2").gcm
+    ck = tmp_path / "ha2.ckpt"
+    enumerate_levels(gcm, 6, ck)
+    before = ck.read_bytes()
+    state = weyl.LevelCheckpoint.load(ck, gcm)
+
+    class FullDisk(io.FileIO):
+        def write(self, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(weyl, "open", FullDisk, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        replace(state, order=7).save(ck)
+    assert ck.read_bytes() == before
+    assert weyl.LevelCheckpoint.load(ck, gcm).content_digest == state.content_digest
+    assert [p.name for p in tmp_path.iterdir()] == ["ha2.ckpt"]
 
 
 def test_profile_script_smoke(capsys):
