@@ -31,11 +31,20 @@ polynomial, prod over d | n of (1 - t^d)^mu(n/d) (Moebius), are expanded
 by it from their cyclotomic factors, which they carry, so
 ``cyclotomic_trial_division`` reads those factors off and expands the
 rest as the residual, with no division.  A polynomial that carries none,
-such as a quotient from ``ratio_fit``, is divided by each cyclotomic
-polynomial in turn, by long division.  On the ``series-closed-form``
-benchmark workload the read-off took a pass's median time from 9.8 to
-8.2 ms and its long divisions from 122 to none
-(``BENCH_20261020_cyclotomic.json``, 2 cores, Python 3.11.7).
+such as a quotient fitted over a walk's series, is divided by each
+cyclotomic polynomial in turn, by long division.
+
+Bott's affine series P(t) / prod (1 - t^(d-1)) carries the same kind of
+form with signed exponents: P's factors less each Phi_k with k | d - 1.
+When both operands carry a form, ``series_mul`` expands the sum of the
+two forms and ``ratio_fit`` the difference through the order, by one
+expander, ``_expand_form``, with no product and no division; a
+polynomial quotient carries its form.  Any other operand, such as a
+walk's growth series, takes the packed product and division above.  On
+the ``series-closed-form`` benchmark workload the read-offs took the
+median ``solve_s`` from 11.5 to 3.7 ms over ten alternating pairs
+and a traced pass's ``series_div`` calls from 4 to none
+(``BENCH_20261022_series_forms.json``, 2 cores, Python 3.11.7).
 """
 
 from __future__ import annotations
@@ -153,8 +162,9 @@ class IntPolynomial:
     Trailing zeros are stripped on construction, so equality is structural.
     The zero polynomial has an empty coefficient tuple and degree -1.
     A polynomial that this module expands from cyclotomic factors
-    (:func:`finite_poincare`, :func:`cyclotomic_polynomial`) carries them
-    as ``(index, multiplicity)`` pairs, index 1 meaning 1 - t, for
+    (:func:`finite_poincare`, :func:`cyclotomic_polynomial`, and a
+    :func:`ratio_fit` quotient read off two such forms) carries them as
+    ``(index, multiplicity)`` pairs, index 1 meaning 1 - t, for
     :func:`cyclotomic_trial_division` to read off; any other carries None.
     The factors take no part in equality, hashing or ``repr``.
     """
@@ -239,9 +249,19 @@ class IntPolynomial:
 
 @dataclass(frozen=True)
 class TruncatedSeries:
-    """A power series known exactly through ``order`` = len(coeffs) - 1."""
+    """A power series known exactly through ``order`` = len(coeffs) - 1.
+
+    A series that this module expands from a product of cyclotomic
+    polynomials to signed powers (:func:`affine_poincare`, and
+    :func:`series_mul` of two such operands) carries that product as
+    ``(index, exponent)`` pairs, index 1 meaning 1 - t, for
+    :func:`series_mul` and :func:`ratio_fit` to read their answers off;
+    any other carries None.  The form takes no part in equality, hashing
+    or ``repr``.
+    """
 
     coeffs: tuple[int, ...]
+    _cyclotomic: tuple[tuple[int, int], ...] | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         cs = tuple(map(int, self.coeffs))
@@ -261,10 +281,13 @@ class TruncatedSeries:
         return _series(cs + (0,) * (order + 1 - len(cs)))
 
 
-def _series(cs) -> TruncatedSeries:
-    """A TruncatedSeries of ``cs``, which are Python ints already and not read again."""
+def _series(cs, form=None) -> TruncatedSeries:
+    """A TruncatedSeries of ``cs``, which are Python ints already and not read
+    again, carrying the cyclotomic form ``form`` when that is not None."""
     out = object.__new__(TruncatedSeries)
     object.__setattr__(out, "coeffs", tuple(cs))
+    if form is not None:
+        object.__setattr__(out, "_cyclotomic", form)
     return out
 
 
@@ -300,14 +323,21 @@ def _available_order(x) -> int | None:
 def series_mul(a, b) -> TruncatedSeries:
     """Cauchy product truncated to the shorter operand's order.
 
-    Zeros past either operand's last nonzero coefficient are dropped and
-    the rest is one ``_convolve``: a single big-integer product of the
-    packed operands, plus packing and unpacking linear in their size.
+    When both operands carry a cyclotomic form, the product is the
+    expansion of their summed forms (:func:`_expand_form`), and carries
+    that sum.  Otherwise zeros past either operand's last nonzero
+    coefficient are dropped and the rest is one ``_convolve``: a single
+    big-integer product of the packed operands, plus packing and unpacking
+    linear in their size.
     """
     orders = [o for o in (_available_order(a), _available_order(b)) if o is not None]
     if not orders:
         raise ValueError("series_mul needs at least one truncated operand")
     order = min(orders)
+    forms = getattr(a, "_cyclotomic", None), getattr(b, "_cyclotomic", None)
+    if None not in forms:
+        form = _add_forms(*forms)
+        return _series(_expand_form(form, order + 1), form)
     xa = _series_prefix(a, order, "left factor")
     xb = _series_prefix(b, order, "right factor")
     return _series(_convolve(xa[: _degree(xa) + 1], xb[: _degree(xb) + 1], order + 1))
@@ -388,7 +418,10 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
     min_margin so a polynomial of maximal plausible degree could still be
     margined.
 
-    The division's recurrence runs only through K = deg P + min_margin,
+    When P and S both carry a cyclotomic form, the quotient through the
+    order is the expansion of P's form less S's (:func:`_expand_form`),
+    and a polynomial quotient carries that difference.  Otherwise the
+    division's recurrence runs only through K = deg P + min_margin,
     giving Q_K, and P/S = Q_K + R/S, where the residual R = P - Q_K * S
     vanishes through K.  R is checked for zero packed: the Kronecker
     product of Q_K and S (``_convolve``'s packing, at a width that bounds
@@ -402,6 +435,8 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
         raise ValueError("min_margin must be >= 1")
     if finite_poly.is_zero:
         raise ValueError("finite polynomial must be nonzero")
+    forms = finite_poly._cyclotomic, getattr(growth, "_cyclotomic", None)
+    form = _add_forms(*forms, -1) if None not in forms else None
     s = _ints(growth)
     growth, order = _series(s), len(s) - 1
     if s[0] != 1:
@@ -410,24 +445,33 @@ def ratio_fit(finite_poly: IntPolynomial, growth, min_margin: int = 5) -> RatioF
         raise InsufficientOrderError(
             f"growth order {order} < degree {finite_poly.degree} + margin {min_margin}"
         )
-    p = finite_poly.coeffs
-    cut = finite_poly.degree + min_margin
-    q = list(series_div(finite_poly, growth, cut).coeffs)
-    used = s[: _degree(s) + 1]
-    # |P's coefficients| < B/2 and |the product's| < B/2, so each digit of R
-    # lies in (-B, B), and R's low order + 1 digits are all zero exactly when
-    # the packed difference is 0 mod B**(order + 1).
-    w = _width(max(max(map(abs, p)), _product_bound(q, used)))
-    product = _pack(q, w) * _pack(used, w)
-    if (product - _pack(p, w)) & ((1 << (8 * w * (order + 1))) - 1):
-        residual = list(map(sub, p + (0,) * (order - finite_poly.degree), _unpack(product, order + 1, w)))
-        q += series_div(_series(residual), growth, order).coeffs[cut + 1 :]
+    if form is not None:
+        q = _expand_form(form, order + 1)
     else:
-        q += [0] * (order - cut)
+        p = finite_poly.coeffs
+        cut = finite_poly.degree + min_margin
+        q = list(series_div(finite_poly, growth, cut).coeffs)
+        used = s[: _degree(s) + 1]
+        # |P's coefficients| < B/2 and |the product's| < B/2, so each digit of R
+        # lies in (-B, B), and R's low order + 1 digits are all zero exactly when
+        # the packed difference is 0 mod B**(order + 1).
+        w = _width(max(max(map(abs, p)), _product_bound(q, used)))
+        product = _pack(q, w) * _pack(used, w)
+        if (product - _pack(p, w)) & ((1 << (8 * w * (order + 1))) - 1):
+            residual = list(map(sub, p + (0,) * (order - finite_poly.degree), _unpack(product, order + 1, w)))
+            q += series_div(_series(residual), growth, order).coeffs[cut + 1 :]
+        else:
+            q += [0] * (order - cut)
     last_nonzero = _degree(q)
     margin = order - last_nonzero
     if margin >= min_margin:
-        return RatioFitResult(IntPolynomial(tuple(q[: last_nonzero + 1])), margin, (), order)
+        quotient = IntPolynomial(tuple(q[: last_nonzero + 1]))
+        # A positive form is a polynomial, expanded whole: every form this
+        # module makes on a series has degree >= 0 (Bott's has 0), so the
+        # quotient's is at most deg P.
+        if form is not None and all(e > 0 for _, e in form):
+            object.__setattr__(quotient, "_cyclotomic", form)
+        return RatioFitResult(quotient, margin, (), order)
     evidence = tuple(k for k in range(order - min_margin + 1, order + 1) if q[k])
     return RatioFitResult(None, margin, evidence, order)
 
@@ -468,19 +512,42 @@ def _cyclotomic_powers(k: int) -> tuple[tuple[int, int], ...]:
     return tuple((m, e) for m, e in powers.items() if e)
 
 
-def _cyclotomic_product(factors) -> IntPolynomial:
-    """The product of Phi_k^e over the (k, e) of ``factors``, k increasing
-    and index 1 meaning 1 - t, carrying ``factors`` as its factorization.
+def _add_forms(a, b, sign: int = 1) -> tuple[tuple[int, int], ...]:
+    """The cyclotomic form of the product of ``a`` and ``b``**sign: the
+    exponents added index by index, zeros dropped, indices increasing."""
+    total = Counter(dict(a))
+    for k, e in b:
+        total[k] += sign * e
+    return tuple(sorted((k, e) for k, e in total.items() if e))
+
+
+def _expand_form(form, n: int | None = None) -> list[int]:
+    """Coefficients 0..n-1 of the product of Phi_k^e over the (k, e) of
+    ``form``, index 1 meaning 1 - t; with n None, every e must be >= 0 and
+    the product comes whole.
 
     The product is one map m -> e of powers of 1 - t^m
-    (:func:`_cyclotomic_powers`), of degree sum of m e, that
-    :func:`_expand` expands.
+    (:func:`_cyclotomic_powers`) that :func:`_expand` expands, positive
+    powers first, so that no division makes large intermediates.  When
+    every e is >= 0 the product is a polynomial, of degree sum of m e,
+    expanded only through that degree and padded with zeros to n.
     """
     powers = Counter()
-    for k, e in factors:
+    for k, e in form:
         for m, x in _cyclotomic_powers(k):
             powers[m] += e * x
-    p = IntPolynomial(_expand([1] + [0] * sum(m * e for m, e in powers.items()), powers.items()))
+    size = 1 + sum(m * e for m, e in powers.items()) if all(e >= 0 for _, e in form) else n
+    n = size if n is None else n
+    size = min(n, size)
+    cs = _expand([1] + [0] * (size - 1), sorted(powers.items(), key=lambda me: me[1] < 0))
+    return cs + [0] * (n - size)
+
+
+def _cyclotomic_product(factors) -> IntPolynomial:
+    """The product of Phi_k^e over the (k, e) of ``factors``, k increasing
+    and index 1 meaning 1 - t, carrying ``factors`` as its factorization
+    (:func:`_expand_form`)."""
+    p = IntPolynomial(_expand_form(factors))
     object.__setattr__(p, "_cyclotomic", tuple(factors))
     return p
 
@@ -505,12 +572,16 @@ def affine_poincare(degrees, order: int) -> TruncatedSeries:
     """Affine growth series: the finite polynomial times prod 1/(1 - t^(d-1)).
 
     Multiplying by 1/(1 - t^m) is a running sum along each residue class
-    mod m (:func:`_expand`): O(order) additions in C and no division.
+    mod m (:func:`_expand`): O(order) additions in C and no division.  The
+    series carries its cyclotomic form: the finite polynomial's factors
+    less, for each d, every Phi_k with k dividing d - 1.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    cs = list(TruncatedSeries.from_polynomial(finite_poincare(degrees), order).coeffs)
-    return _series(_expand(cs, [(int(d) - 1, -1) for d in degrees]))
+    p = finite_poincare(degrees)
+    cs = _expand(list(TruncatedSeries.from_polynomial(p, order).coeffs), [(int(d) - 1, -1) for d in degrees])
+    bott = [(k, 1) for d in degrees for k in range(1, int(d)) if (int(d) - 1) % k == 0]
+    return _series(cs, _add_forms(p._cyclotomic, bott, -1))
 
 
 def expand_factored(factors) -> IntPolynomial:
@@ -542,8 +613,9 @@ def cyclotomic_trial_division(p: IntPolynomial, max_cyclotomic_index: int):
 
     A polynomial that carries its cyclotomic factors (:class:`IntPolynomial`)
     has them read off, and the rest expanded as the residual
-    (:func:`_cyclotomic_product`); any other, such as a fitted quotient, is
-    divided by each factor in turn until the division leaves a remainder.
+    (:func:`_cyclotomic_product`); any other, such as a quotient fitted over
+    a walk's series, is divided by each factor in turn until the division
+    leaves a remainder.
     """
     if p.is_zero:
         raise ValueError("polynomial must be nonzero")

@@ -139,7 +139,7 @@ def test_growth_refuses_a_finished_checkpoint_with_an_inconsistent_tally(capsys,
     # forged; its digest is computed on save, so only the tally is wrong.
     monkeypatch.delenv("WEYLGROWTH_CHECKPOINT_DIR", raising=False)
     gcm = build_catalog("HA2").gcm
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     weyl.LevelCheckpoint(weyl.gcm_digest(gcm), 6, np.asarray(tally, dtype=np.int64),
                          np.zeros((0, 2), np.int64), np.zeros((0, gcm.rank), np.int64)).save(ck)
     code = main(["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
@@ -283,7 +283,7 @@ def test_growth_that_cannot_allocate_its_arrays_exits_2(capsys, monkeypatch):
 # -------------------------------------------------------------- checkpoints
 
 def test_growth_checkpoint_resume(capsys, tmp_path):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
     assert ck.exists()
     _, resumed = run(capsys, ["growth", "--algebra", "HA2", "--order", "10", "--checkpoint", str(ck)])
@@ -292,14 +292,14 @@ def test_growth_checkpoint_resume(capsys, tmp_path):
 
 
 def test_growth_checkpoint_mismatch_exits_4(capsys, tmp_path):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     run(capsys, ["growth", "--algebra", "A2", "--order", "2", "--checkpoint", str(ck)])
     code, _ = run(capsys, ["growth", "--algebra", "A3", "--order", "2", "--checkpoint", str(ck)])
     assert code == 4
 
 
 def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     run(capsys, ["growth", "--algebra", "HA2", "--order", "6", "--checkpoint", str(ck)])
     tally = _read_checkpoint(ck)["tally"]
     tally[-1, 0] += 1
@@ -310,8 +310,8 @@ def test_growth_edited_checkpoint_exits_4(capsys, tmp_path):
 
 def test_checkpoint_env_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("WEYLGROWTH_CHECKPOINT_DIR", str(tmp_path))
-    run(capsys, ["growth", "--algebra", "A2", "--order", "3", "--checkpoint", "rel.npz"])
-    assert (tmp_path / "rel.npz").exists()
+    run(capsys, ["growth", "--algebra", "A2", "--order", "3", "--checkpoint", "rel.ckpt"])
+    assert (tmp_path / "rel.ckpt").exists()
 
 
 # ----------------------------------------------------------------- poincare

@@ -1,14 +1,17 @@
+import dataclasses
 from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weylgrowth import (
+    GrowthSeries,
     InsufficientOrderError,
     IntPolynomial,
     NonUnitConstantTermError,
+    RatioFitResult,
     TruncatedSeries,
     affine_poincare,
     build_catalog,
@@ -20,9 +23,11 @@ from weylgrowth import (
     ratio_fit,
     series_div,
     series_mul,
+    validate_gcm,
     weyl_orbit_oracle,
 )
-from weylgrowth.series import _convolve
+from weylgrowth import weyl
+from weylgrowth.series import _convolve, _expand_form
 from weylgrowth.golden import (
     HA2_D4_CYCLOTOMIC_FACTORS,
     HA2_D4_CYCLOTOMIC_RESIDUAL,
@@ -618,11 +623,31 @@ def test_cyclotomic_polynomials_match_the_division_chain():
 
 
 def test_carried_factors_change_no_equality_hash_or_repr():
-    for p in (finite_poincare((2, 8, 12, 14, 18, 20, 24, 30)), cyclotomic_polynomial(12)):
-        plain = IntPolynomial(p.coeffs)
-        assert p == plain and hash(p) == hash(plain)
-        assert repr(p) == repr(plain) and str(p) == str(plain)
-    assert (finite_poincare((2, 4)) * IntPolynomial((1,)))._cyclotomic is None
+    e8 = (2, 8, 12, 14, 18, 20, 24, 30)
+    s = affine_poincare(e8, 200)
+    fit = ratio_fit(finite_poincare(e8), s)
+    carriers = (finite_poincare(e8), cyclotomic_polynomial(12), s, series_mul(s, finite_poincare((2, 3))),
+                fit.quotient)
+    for x in carriers:
+        assert x._cyclotomic is not None
+        plain = type(x)(x.coeffs)
+        assert plain._cyclotomic is None
+        assert x == plain and hash(x) == hash(plain)
+        assert repr(x) == repr(plain) and str(x) == str(plain)
+    # Nothing built another way carries a form.
+    built = (
+        (finite_poincare((2, 4)) * IntPolynomial((1,))),
+        TruncatedSeries(s.coeffs),
+        GrowthSeries(s.coeffs, False),
+        dataclasses.replace(s),
+        dataclasses.replace(s, coeffs=s.coeffs[:10]),
+        TruncatedSeries.from_polynomial(finite_poincare(e8), 200),
+        series_div(finite_poincare(e8), s, 200),
+        series_div(s, finite_poincare(e8), 200),
+        series_mul(s, IntPolynomial(fit.quotient.coeffs)),
+        ratio_fit(IntPolynomial(finite_poincare(e8).coeffs), s).quotient,
+    )
+    assert [x._cyclotomic for x in built] == [None] * len(built)
 
 
 def test_finite_poincare_of_no_degrees_is_one_with_no_factors():
@@ -645,3 +670,66 @@ def test_only_a_polynomial_without_carried_factors_is_divided(monkeypatch):
     assert calls == [] and residual == IntPolynomial((1,))
     assert cyclotomic_trial_division(IntPolynomial(p.coeffs), 30) == (factors, residual)
     assert calls
+
+
+# --------------------------------------------- forms carried on series
+
+_DEGREES = st.lists(st.integers(2, 30), min_size=1, max_size=8)
+
+
+def _fit_or_error(p, s, margin):
+    """ratio_fit's result, or the type and message of what it raised."""
+    try:
+        return ratio_fit(p, s, margin)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+@settings(max_examples=80, deadline=None)
+@given(x=_DEGREES, y=_DEGREES, other=st.booleans(), order=st.integers(0, 400),
+       order_y=st.integers(0, 400), margin=st.integers(1, 8))
+def test_read_off_fit_and_product_match_the_stripped_operands(x, y, other, order, order_y, margin):
+    # P(X) over affine(X) is prod (1 - t^(d - 1)); over affine(Y), Y != X,
+    # the quotient's form has negative exponents and is mostly no
+    # polynomial.  Stripped copies carry no form and take the generic path.
+    assume(not other or Counter(x) != Counter(y))
+    p, s = finite_poincare(x), affine_poincare(y if other else x, order)
+    bare_p, bare_s = IntPolynomial(p.coeffs), TruncatedSeries(s.coeffs)
+    assert tuple(_expand_form(s._cyclotomic, order + 1)) == s.coeffs
+    fit = _fit_or_error(p, s, margin)
+    assert fit == _fit_or_error(bare_p, bare_s, margin)
+    if not isinstance(fit, RatioFitResult):
+        assert fit[0] is InsufficientOrderError
+    elif fit.quotient is not None:
+        q = fit.quotient
+        assert other or q._cyclotomic is not None  # read off, not divided
+        assert q._cyclotomic is None or tuple(_expand_form(q._cyclotomic)) == q.coeffs
+        assert series_mul(s, q).coeffs == series_mul(bare_s, IntPolynomial(q.coeffs)).coeffs
+    t = affine_poincare(y, order_y)
+    for a, b in ((s, p), (p, s), (s, t)):
+        got = series_mul(a, b)
+        assert got._cyclotomic is not None
+        assert got.coeffs == series_mul(type(a)(a.coeffs), type(b)(b.coeffs)).coeffs
+        assert tuple(_expand_form(got._cyclotomic, got.order + 1)) == got.coeffs
+
+
+@pytest.mark.parametrize("name", ["HA2", "HA3", "HA4", "HA5", "HA6", "HA7", "free3", "two-affine"])
+def test_parabolic_factor_is_the_product_of_its_stripped_operands(monkeypatch, name):
+    # _parabolic multiplies Bott's series by a finite polynomial, both with
+    # forms; the product read off must be the convolution of the bare ones.
+    products = []
+    multiply = weyl.series_mul
+
+    def checked(a, b):
+        assert a._cyclotomic is not None and b._cyclotomic is not None
+        got = multiply(a, b)
+        products.append((got.coeffs, multiply(TruncatedSeries(a.coeffs), IntPolynomial(b.coeffs)).coeffs))
+        return got
+
+    monkeypatch.setattr(weyl, "series_mul", checked)
+    matrices = {"free3": ((2, -1, -4), (-4, 2, -1), (-1, -4, 2)),
+                "two-affine": ((2, -2, 0, 0, -1), (-2, 2, 0, 0, 0), (0, 0, 2, -2, -1), (0, 0, -2, 2, 0),
+                               (-1, 0, -1, 0, 2))}
+    gcm = validate_gcm(matrices[name]) if name in matrices else build_catalog(name).gcm
+    weyl._parabolic(gcm, 30)
+    assert products and all(got == want for got, want in products)

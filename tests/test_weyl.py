@@ -136,7 +136,7 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         enumerate_levels(gcm, 3, workers=0)
     with pytest.raises(ValueError):
-        enumerate_levels(gcm, 3, "ck.npz", full_history_dedup=True)
+        enumerate_levels(gcm, 3, "ck.ckpt", full_history_dedup=True)
 
 
 def test_level_sets_and_the_oracle_refuse_a_negative_order():
@@ -321,7 +321,7 @@ def test_lost_child_breaks_the_edge_count(monkeypatch, tmp_path, order):
     real = weyl._children
     monkeypatch.setattr(weyl, "_children",
                         lambda A, parents, pair, **kw: real(A, parents, pair, **kw)[1:])
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(RuntimeError, match="up-edges"):
         enumerate_levels(build_catalog("HA2").gcm, order, ck)
     assert not ck.exists()  # the short level 1 is caught before the walk's one save
@@ -760,7 +760,7 @@ def test_oracle_equals_enumeration(name, order):
 
 def test_checkpoint_resume_matches_uninterrupted(tmp_path):
     gcm = build_catalog("HA2").gcm
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     partial = enumerate_levels(gcm, 6, ck)
     assert ck.exists() and partial.coeffs == HA2_GROWTH_PREFIX[:7]
     resumed = enumerate_levels(gcm, 12, ck)
@@ -771,7 +771,7 @@ def test_checkpoint_resume_matches_uninterrupted(tmp_path):
 
 def test_checkpoint_truncating_resume(tmp_path):
     gcm = build_catalog("HA2").gcm
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     enumerate_levels(gcm, 8, ck)
     shorter = enumerate_levels(gcm, 3, ck)
     assert shorter.coeffs == HA2_GROWTH_PREFIX[:4] and not shorter.complete
@@ -779,7 +779,7 @@ def test_checkpoint_truncating_resume(tmp_path):
 
 def test_checkpoint_complete_group(tmp_path):
     gcm = build_catalog("A3").gcm
-    ck = tmp_path / "a3.npz"
+    ck = tmp_path / "a3.ckpt"
     first = enumerate_levels(gcm, 30, ck)
     assert first.complete
     again = enumerate_levels(gcm, 50, ck)
@@ -803,7 +803,7 @@ def test_finished_checkpoint_holds_no_rows(monkeypatch, tmp_path):
     # leaves the file alone; a higher one walks again from the identity.
     monkeypatch.setattr(weyl, "_whole_levels", _no_whole_levels)
     gcm = build_catalog("HA3").gcm
-    ck = tmp_path / "ha3.npz"
+    ck = tmp_path / "ha3.ckpt"
     assert enumerate_levels(gcm, 26, ck) == enumerate_levels(gcm, 26)
     state = weyl.LevelCheckpoint.load(ck, gcm)
     assert state.complete and state.order == 26
@@ -831,7 +831,7 @@ def test_checkpoint_resumes_under_another_chunk_size_and_worker_count(monkeypatc
     tallies = []
     for chunk_rows, workers, resume_rows in ((weyl._CHUNK_ROWS, 1, 3), (7, 1, 1), (1, 3, 7)):
         monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
-        ck = tmp_path / f"c{chunk_rows}w{workers}.npz"
+        ck = tmp_path / f"c{chunk_rows}w{workers}.ckpt"
         with pytest.raises(_Interrupt):
             _interrupted(gcm, 9, ck, 5)
         assert len(weyl.LevelCheckpoint.load(ck, gcm).waiting)
@@ -890,8 +890,8 @@ def test_interrupted_walk_resumes_to_the_plain_count(monkeypatch, tmp_path, chun
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", chunk_rows)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     uninterrupted = []
-    assert _interrupted(gcm, order, tmp_path / "whole.npz", 0, uninterrupted) == plain
-    ck = tmp_path / "walk.npz"
+    assert _interrupted(gcm, order, tmp_path / "whole.ckpt", 0, uninterrupted) == plain
+    ck = tmp_path / "walk.ckpt"
     calls, after, resumed_with_waiting_rows = [], 2, 0
     while True:
         try:
@@ -917,7 +917,7 @@ def test_interrupted_walk_answers_below_its_waiting_chunks_and_restarts(monkeypa
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     state = weyl.LevelCheckpoint.load(ck, gcm)
@@ -942,7 +942,7 @@ def test_interrupted_walk_resumes_at_a_lower_order(monkeypatch, tmp_path):
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
     monkeypatch.setattr(weyl, "_whole_levels", _no_whole_levels)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     assert weyl.LevelCheckpoint.load(ck, gcm).chunks[:, 0].tolist() == [6, 8, 9]
@@ -961,7 +961,7 @@ def test_walk_resumed_at_a_lower_order_saves_a_chunk_at_that_order(monkeypatch, 
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     calls = []
@@ -978,13 +978,13 @@ def test_walk_resumed_at_a_lower_order_saves_a_chunk_at_that_order(monkeypatch, 
 @given(small_gcm(), st.integers(0, 8), st.integers(0, 8))
 def test_checkpointed_count_equals_the_plain_count(gcm, first, second):
     with tempfile.TemporaryDirectory() as tmp:
-        ck = Path(tmp) / "ck.npz"
+        ck = Path(tmp) / "ck.ckpt"
         assert enumerate_levels(gcm, first, ck) == enumerate_levels(gcm, first)
         assert enumerate_levels(gcm, second, ck) == enumerate_levels(gcm, second)
 
 
 def test_checkpoint_rejects_other_algebra(tmp_path):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     enumerate_levels(build_catalog("A2").gcm, 2, ck)
     with pytest.raises(CheckpointMismatchError):
         enumerate_levels(build_catalog("A3").gcm, 4, ck)
@@ -992,7 +992,7 @@ def test_checkpoint_rejects_other_algebra(tmp_path):
 
 def test_checkpoint_rejects_unknown_version(tmp_path, capsys):
     gcm = build_catalog("A2").gcm
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     enumerate_levels(gcm, 2, ck)
     _rewrite_checkpoint(ck, version=99)
     with pytest.raises(CheckpointMismatchError, match="version 99, expected 9"):
@@ -1018,6 +1018,7 @@ def test_checkpoint_rejects_unknown_version(tmp_path, capsys):
     # The two-level layout of format 1.
     v1 = {**{key: value for key, value in v2.items() if key != "level"},
           "older": np.eye(2, dtype=np.int64), "newer": v3["level"]}
+    ck = tmp_path / "state.npz"
     for version, members in ((8, v8), (7, v8), (6, v6), (5, v5), (4, v4), (3, v3), (2, v2), (1, v1)):
         with open(ck, "wb") as fh:
             np.savez(fh, version=np.int64(version), **members)
@@ -1067,7 +1068,7 @@ def test_checkpoint_rejects_inconsistent_contents(monkeypatch, tmp_path, edit):
     # 0..4 and has the 3 rows of level 5 waiting.
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 6, ck, 6)
     data = _read_checkpoint(ck)
@@ -1106,7 +1107,7 @@ def test_interrupted_checkpoint_rejects_inconsistent_waiting_chunks(monkeypatch,
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     data = _read_checkpoint(ck)
@@ -1146,7 +1147,7 @@ def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp
     gcm = build_catalog("HA2").gcm
     monkeypatch.setattr(weyl, "_CHUNK_ROWS", 4)
     monkeypatch.setattr(weyl, "_SAVE_EVERY_S", 0)
-    ck = tmp_path / "ha2.npz"
+    ck = tmp_path / "ha2.ckpt"
     with pytest.raises(_Interrupt):
         _interrupted(gcm, 12, ck, 10)
     state = weyl.LevelCheckpoint.load(ck, gcm)
@@ -1191,12 +1192,12 @@ def test_checkpoint_save_syncs_before_replace(tmp_path, monkeypatch):
     monkeypatch.setattr(weyl.os, "fsync", lambda fd: events.append("fsync"))
     real_replace = weyl.os.replace
     monkeypatch.setattr(weyl.os, "replace", lambda a, b: (events.append("replace"), real_replace(a, b)))
-    enumerate_levels(build_catalog("A2").gcm, 1, tmp_path / "a2.npz")
+    enumerate_levels(build_catalog("A2").gcm, 1, tmp_path / "a2.ckpt")
     assert events == ["fsync", "replace"]
 
 
 def test_checkpoint_rejects_garbage_file(tmp_path):
-    ck = tmp_path / "state.npz"
+    ck = tmp_path / "state.ckpt"
     ck.write_bytes(b"not a checkpoint")
     with pytest.raises(CheckpointMismatchError):
         enumerate_levels(build_catalog("A2").gcm, 4, ck)
