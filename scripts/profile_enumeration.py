@@ -2,7 +2,7 @@
 """Per-level timing and size table for the walk that a count takes.
 
 A count walks the parabolic quotient W^J, the orbit of the lambda that
-``weyl._parabolic`` picks, and multiplies its series by W_J(t), which has
+``coxeter._parabolic`` picks, and multiplies its series by W_J(t), which has
 a closed form with no walk: the degrees of each finite component of W_J,
 from the heights of its positive roots, and Bott's series for each affine
 one (HA_n factors out affine A_n, so HA3 to order 27 walks 107,542
@@ -23,7 +23,9 @@ import time
 import numpy as np
 
 from weylgrowth import build_catalog
-from weylgrowth.weyl import _Cartan, _count, _parabolic  # profiling the internals on purpose
+# Private names: this script profiles the internals on purpose.
+from weylgrowth.coxeter import _parabolic
+from weylgrowth.weyl import _Cartan, _count
 
 
 def profile(name: str, order: int) -> None:

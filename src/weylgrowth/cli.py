@@ -1,9 +1,9 @@
 """Command-line interface: catalog, growth, poincare, fit, verify-paper.
 
 Exit codes: 0 success (all checks pass for verify-paper), 1 verification
-failure, 2 invalid input or a count that does not fit in memory, 3
-arithmetic overflow, 4 checkpoint mismatch, 5 internal error (an
-enumeration invariant failed, or the root closure of a W_J component
+failure, 2 invalid input or a count or series that does not fit in
+memory, 3 arithmetic overflow, 4 checkpoint mismatch, 5 internal error
+(an enumeration invariant failed, or the root closure of a W_J component
 called finite or affine did not end).  :func:`main` prints every error a
 command raises once, as one ``error:`` line on stderr, and takes codes 2-5
 from one ordered table of exception types, ``_EXIT_CODES``; argparse

@@ -49,6 +49,7 @@ and a traced pass's ``series_div`` calls from 4 to none
 
 from __future__ import annotations
 
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -74,6 +75,27 @@ __all__ = [
 
 POLYNOMIAL = "polynomial"
 NON_TERMINATING = "non_terminating"
+
+# Bytes that ``poincare --affine`` holds per coefficient of Bott's series
+# at its peak, for the memory budget of :func:`affine_poincare`: the
+# coefficients as Python ints, the lists and tuples that expand them, and
+# their decimal text.  tracemalloc read peaks of 311, 334 and 341 bytes per
+# coefficient over the whole command for E8, the largest type, with JSON
+# output, at orders 100,000, 1,000,000 and 2,000,000 (text and CSV: 270
+# and 286 at the first two; Python 3.11.7).  The ints grow by a few bytes
+# each time the order doubles, so this allows for orders ten times those.
+_AFFINE_TERM_BYTES = 384
+
+
+def _memory_budget() -> int:
+    """Bytes that one computation may hold: half the physical memory.
+
+    This is the package's one budget rule: :func:`affine_poincare` refuses
+    a series whose coefficients would pass it, and the whole levels and
+    orbit states of the walk's cross-checks are charged to it
+    (:mod:`weylgrowth.weyl`).
+    """
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2
 
 
 class NonUnitConstantTermError(ValueError):
@@ -574,10 +596,16 @@ def affine_poincare(degrees, order: int) -> TruncatedSeries:
     Multiplying by 1/(1 - t^m) is a running sum along each residue class
     mod m (:func:`_expand`): O(order) additions in C and no division.  The
     series carries its cyclotomic form: the finite polynomial's factors
-    less, for each d, every Phi_k with k dividing d - 1.
+    less, for each d, every Phi_k with k dividing d - 1.  An order whose
+    order + 1 coefficients, at _AFFINE_TERM_BYTES each, pass
+    :func:`_memory_budget` raises MemoryError before anything is built.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
+    needed, budget = (order + 1) * _AFFINE_TERM_BYTES, _memory_budget()
+    if needed > budget:
+        raise MemoryError(f"a series of order {order} needs about {needed} bytes, "
+                          f"more than the budget of {budget} bytes")
     p = finite_poincare(degrees)
     cs = _expand(list(TruncatedSeries.from_polynomial(p, order).coeffs), [(int(d) - 1, -1) for d in degrees])
     bott = [(k, 1) for d in degrees for k in range(1, int(d)) if (int(d) - 1) % k == 0]

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import settings
 
 from weylgrowth import build_catalog, enumerate_levels, validate_gcm
-from weylgrowth import weyl
+from weylgrowth import coxeter
 
 # On CI a failing property test also prints a blob that replays its example
 # (@reproduce_failure), so the failure can be rerun from the log alone.
@@ -39,7 +39,7 @@ def connected_gcms():
             for (i, j), (a, b) in zip(edges, choice):
                 m[i][j], m[j][i] = a, b
             gcm = validate_gcm(m)
-            if len(weyl._components(gcm, range(rank))) == 1:
+            if len(coxeter._components(gcm, range(rank))) == 1:
                 yield gcm
     return generate
 

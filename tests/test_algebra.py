@@ -21,7 +21,7 @@ from weylgrowth import (
     weyl_group_order,
     weyl_orbit_oracle,
 )
-from weylgrowth import weyl
+from weylgrowth import coxeter
 
 
 # ---------------------------------------------------------------- validation
@@ -304,7 +304,7 @@ def test_finite_type_agrees_with_the_root_closure(gcm):
     # when the group is finite.  The closure calls nothing that calls
     # is_finite_type.
     try:
-        weyl._root_degrees(gcm)
+        coxeter._root_degrees(gcm)
     except RuntimeError:
         closed = False
     else:

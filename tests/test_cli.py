@@ -1,11 +1,26 @@
 import csv
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 
-from weylgrowth import LevelTooLargeError, build_catalog, cli, enumerate_levels, golden, weyl
+from weylgrowth import (
+    IntPolynomial,
+    LevelTooLargeError,
+    build_catalog,
+    cli,
+    coxeter,
+    enumerate_levels,
+    expand_factored,
+    finite_poincare,
+    golden,
+    invariant_degrees,
+    series,
+    series_div,
+    weyl,
+)
 from weylgrowth.cli import main
 
 from conftest import _read_checkpoint, _rewrite_checkpoint
@@ -89,7 +104,7 @@ def test_full_history_check_charges_the_oracle_states_to_the_budget(capsys, monk
     monkeypatch.setattr(weyl, "_memory_budget", lambda: 16384)
     gcm = build_catalog("HA2").gcm
     lam = (1, 0, 0, 0)
-    assert weyl._parabolic(gcm, 10)[0] == lam
+    assert coxeter._parabolic(gcm, 10)[0] == lam
     levels = weyl._whole_levels(gcm, 10, False, lam)
     assert tuple(map(len, levels)) == (1, 1, 1, 2, 2, 3, 5, 7, 10, 15, 22)
     assert sum(level.nbytes for level in levels) == 2208
@@ -263,8 +278,8 @@ def test_growth_of_a_w_j_called_finite_that_does_not_end_exits_5(capsys, monkeyp
     # positive roots a finite W_J of rank 3 can have.  That bound does not
     # depend on the order.
     affine = build_catalog("HA2").gcm.delete_node("-1")
-    real = weyl.cartan_type
-    monkeypatch.setattr(weyl, "cartan_type", lambda gcm: "finite" if gcm == affine else real(gcm))
+    real = coxeter.cartan_type
+    monkeypatch.setattr(coxeter, "cartan_type", lambda gcm: "finite" if gcm == affine else real(gcm))
     code = main(["growth", "--algebra", "HA2", "--order", str(order)])
     captured = capsys.readouterr()
     assert code == 5 and captured.out == ""
@@ -347,6 +362,47 @@ def test_poincare_rejects_non_finite(capsys):
 def test_poincare_affine_requires_order(capsys):
     code, _ = run(capsys, ["poincare", "--affine", "A1"])
     assert code == 2
+
+
+def test_poincare_affine_e8_is_bott_series_divided_out(capsys):
+    # The series printed is P(t) / prod (1 - t^(d - 1)) by long division,
+    # line for line.
+    degrees = invariant_degrees(build_catalog("E8"))
+    denominator = expand_factored(IntPolynomial((1,) + (0,) * (d - 2) + (-1,)) for d in degrees)
+    want = series_div(finite_poincare(degrees), denominator, 300).coeffs
+    code, out = run(capsys, ["poincare", "--affine", "E8", "--order", "300"])
+    assert code == 0
+    assert out == f"algebra: affine E8\norder: 300\ncoeffs: {' '.join(map(str, want))}\n"
+
+
+AFFINE_SERIES_COMMANDS = {"poincare": ["poincare", "--affine", "E8"], "growth": ["growth", "--algebra", "HA3"]}
+
+
+@pytest.mark.parametrize("command", AFFINE_SERIES_COMMANDS)
+def test_an_affine_series_over_the_memory_budget_exits_2(capsys, monkeypatch, command):
+    # Bott's series of E8 to order 2,000,000 peaked at 715 MiB.  Past a
+    # budget of 4 MiB affine_poincare refuses it before building anything,
+    # for poincare and for the W_J(t), affine A3, that a count of HA3
+    # factors out before it walks.
+    monkeypatch.setattr(series, "_memory_budget", lambda: 4 << 20)
+    code = main([*AFFINE_SERIES_COMMANDS[command], "--order", "2000000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: a series of order 2000000 needs about ")
+    assert captured.err.endswith(f"more than the budget of {4 << 20} bytes\n")
+
+
+@pytest.mark.parametrize("command", AFFINE_SERIES_COMMANDS)
+def test_an_order_of_a_billion_exits_2_at_once(capsys, command):
+    # A billion coefficients pass half the memory of any machine this runs
+    # on, and the refusal comes before anything is allocated.
+    start = time.perf_counter()
+    code = main([*AFFINE_SERIES_COMMANDS[command], "--order", "1000000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: a series of order 1000000000 needs about ")
+    assert elapsed < 1
 
 
 # ---------------------------------------------------------------------- fit

@@ -26,7 +26,7 @@ from weylgrowth import (
     validate_gcm,
     weyl_orbit_oracle,
 )
-from weylgrowth import weyl
+from weylgrowth import coxeter
 from weylgrowth.series import _convolve, _expand_form
 from weylgrowth.golden import (
     HA2_D4_CYCLOTOMIC_FACTORS,
@@ -718,7 +718,7 @@ def test_parabolic_factor_is_the_product_of_its_stripped_operands(monkeypatch, n
     # _parabolic multiplies Bott's series by a finite polynomial, both with
     # forms; the product read off must be the convolution of the bare ones.
     products = []
-    multiply = weyl.series_mul
+    multiply = coxeter.series_mul
 
     def checked(a, b):
         assert a._cyclotomic is not None and b._cyclotomic is not None
@@ -726,10 +726,10 @@ def test_parabolic_factor_is_the_product_of_its_stripped_operands(monkeypatch, n
         products.append((got.coeffs, multiply(TruncatedSeries(a.coeffs), IntPolynomial(b.coeffs)).coeffs))
         return got
 
-    monkeypatch.setattr(weyl, "series_mul", checked)
+    monkeypatch.setattr(coxeter, "series_mul", checked)
     matrices = {"free3": ((2, -1, -4), (-4, 2, -1), (-1, -4, 2)),
                 "two-affine": ((2, -2, 0, 0, -1), (-2, 2, 0, 0, 0), (0, 0, 2, -2, -1), (0, 0, -2, 2, 0),
                                (-1, 0, -1, 0, 2))}
     gcm = validate_gcm(matrices[name]) if name in matrices else build_catalog(name).gcm
-    weyl._parabolic(gcm, 30)
+    coxeter._parabolic(gcm, 30)
     assert products and all(got == want for got, want in products)

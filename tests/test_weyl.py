@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylgrowth import weyl
+from weylgrowth import coxeter, weyl
 from weylgrowth import (
     CheckpointMismatchError,
     GeneralizedCartanMatrix,
@@ -385,7 +385,7 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
     # order.
     # Neither reference calls _parabolic, is_finite_type or cartan_type.
     order = 8
-    lam, factor = weyl._parabolic(gcm, order)
+    lam, factor = coxeter._parabolic(gcm, order)
     C = weyl._Cartan(gcm.entries, lam)
     identity = np.zeros((1, gcm.rank), dtype=np.int64)
     levels = []
@@ -411,7 +411,7 @@ def test_enumerator_and_orbit_oracle_agree(gcm):
         assert factor.coeffs == sub_series.coeffs[:None if whole else order + 1]
         if not sub_series.complete:  # an affine component: W_J(t) is Bott's series
             assert not is_finite_type(gcm)
-            parts = weyl._components(sub, range(sub.rank))
+            parts = coxeter._components(sub, range(sub.rank))
             assert "affine" in {cartan_type(sub.subdiagram(part)) for part in parts}
     else:
         assert lam == (1,) * gcm.rank
@@ -428,7 +428,7 @@ def test_parabolic_lambda_does_not_depend_on_the_order(name, nodes):
     if nodes is not None:
         gcm = GeneralizedCartanMatrix(tuple(tuple(gcm.entries[i][j] for j in nodes) for i in nodes),
                                       tuple(gcm.labels[i] for i in nodes))
-    assert len({weyl._parabolic(gcm, n)[0] for n in range(31)}) == 1
+    assert len({coxeter._parabolic(gcm, n)[0] for n in range(31)}) == 1
 
 
 FINITE_CATALOGUE = ([f"A{r}" for r in range(1, 9)] + [f"{x}{r}" for x in "BC" for r in range(2, 9)]
@@ -443,7 +443,7 @@ def test_parabolic_lambda_of_every_catalogue_type():
                 **{f"AffA{r}": "0" for r in range(1, 8)}, **{f"HA{r}": "-1" for r in range(2, 11)}}
     for name, label in left_out.items():
         gcm = build_catalog(name).gcm
-        assert weyl._parabolic(gcm, 10)[0] == tuple(int(mu == label) for mu in gcm.labels), name
+        assert coxeter._parabolic(gcm, 10)[0] == tuple(int(mu == label) for mu in gcm.labels), name
 
 
 def test_finite_longest_elements_lie_within_the_whole_count_bound():
@@ -470,12 +470,12 @@ def test_each_ha_factors_out_its_largest_finite_subgroup_whole(n, name, node):
     gcm = build_catalog(f"HA{n}").gcm
     degrees = invariant_degrees(build_catalog(f"A{n}"))
     for order in (0, 12):
-        lam, factor = weyl._parabolic(gcm, order)
+        lam, factor = coxeter._parabolic(gcm, order)
         assert lam == (1,) + (0,) * (n + 1)
         assert factor.coeffs == affine_poincare(degrees, order).coeffs
     bound = (n + 2) * max(n + 2, 15)
     finite = gcm.delete_node(gcm.labels[node])
-    assert weyl._root_degrees(finite) == tuple(sorted(invariant_degrees(build_catalog(name))))
+    assert coxeter._root_degrees(finite) == tuple(sorted(invariant_degrees(build_catalog(name))))
     assert sum(affine_poincare(degrees, bound).coeffs) > weyl_group_order(build_catalog(name))
 
 
@@ -483,7 +483,7 @@ def test_root_heights_give_the_degrees_of_every_catalogue_finite_type():
     # Kostant's height theorem against the table of invariant_degrees.
     for name in FINITE_CATALOGUE:
         desc = build_catalog(name)
-        assert weyl._root_degrees(desc.gcm) == tuple(sorted(invariant_degrees(desc))), name
+        assert coxeter._root_degrees(desc.gcm) == tuple(sorted(invariant_degrees(desc))), name
 
 
 def test_a_reducible_group_is_the_product_of_its_components():
@@ -502,7 +502,7 @@ def test_a_reducible_group_is_the_product_of_its_components():
                 m[offset + i][offset + j] = a
     nodes = (0, 3, 5, 1, 6, 4, 7, 2)
     gcm = validate_gcm([[m[i][j] for j in nodes] for i in nodes])
-    assert weyl._root_degrees(gcm) == tuple(sorted(d for p in parts for d in invariant_degrees(p)))
+    assert coxeter._root_degrees(gcm) == tuple(sorted(d for p in parts for d in invariant_degrees(p)))
     product = IntPolynomial((1,))
     for p in parts:
         product = product * finite_poincare(invariant_degrees(p))
@@ -516,8 +516,8 @@ def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys)
     # A3, gets the degrees 3, 4, 5.  A plain count multiplies it in
     # unchecked; the full-history check must compare it with the orbit
     # oracle and refuse it.
-    degrees = weyl._degrees
-    monkeypatch.setattr(weyl, "_degrees", lambda *args: tuple(d + 1 for d in degrees(*args)))
+    degrees = coxeter._degrees
+    monkeypatch.setattr(coxeter, "_degrees", lambda *args: tuple(d + 1 for d in degrees(*args)))
     gcm = build_catalog("HA3").gcm
     assert enumerate_levels(gcm, 10).coeffs != HA3_GROWTH_REFERENCE[:11]
     with pytest.raises(RuntimeError, match="differs from the orbit oracle"):
@@ -530,14 +530,17 @@ def test_full_history_check_catches_a_wrong_subgroup_series(monkeypatch, capsys)
 def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, name, order):
     # W_J(t) comes from root heights, so W^J is the one walk.  W tests
     # itself once.  An infinite W then types each connected component of a
-    # candidate W_J once and closes its roots once, and no node set twice:
-    # HA3 has six (affine A3, A1, A3, A4 twice, D4) and HA7 ten.  A finite
-    # W types nothing more, since every component of a finite W_J is
-    # finite, and closes the roots of its one candidate: E8's E7.
+    # candidate W_J once, and no node set twice: HA3 has six (affine A3,
+    # A1, A3, A4 twice, D4) and HA7 ten.  It closes the roots of each
+    # finite component once, and of each connected node set of corank 1 of
+    # an affine one once, so a node set is closed twice only when it is
+    # both: HA3's A3 on the nodes 1 2 3.  A finite W types nothing more,
+    # since every component of a finite W_J is finite, and closes the roots
+    # of its one candidate: E8's E7.
     calls = {"finite": 0, "walks": 0}
     typed, closed = [], []
-    is_finite, count = weyl.is_finite_type, weyl._count
-    kind, roots = weyl.cartan_type, weyl._positive_roots
+    is_finite, count = coxeter.is_finite_type, weyl._count
+    kind, roots = coxeter.cartan_type, coxeter._positive_roots
 
     def counted(key, f):
         def wrapper(*args, **kw):
@@ -551,20 +554,31 @@ def test_a_count_tests_finiteness_once_per_subgroup_and_walks_once(monkeypatch, 
             return f(gcm, *args, **kw)
         return wrapper
 
-    monkeypatch.setattr(weyl, "is_finite_type", counted("finite", is_finite))
+    monkeypatch.setattr(coxeter, "is_finite_type", counted("finite", is_finite))
     monkeypatch.setattr(weyl, "_count", counted("walks", count))
-    monkeypatch.setattr(weyl, "cartan_type", logged(typed, kind))
-    monkeypatch.setattr(weyl, "_positive_roots", logged(closed, roots))
+    monkeypatch.setattr(coxeter, "cartan_type", logged(typed, kind))
+    monkeypatch.setattr(coxeter, "_positive_roots", logged(closed, roots))
     gcm = build_catalog(name).gcm
     enumerate_levels(gcm, order)
     assert calls["finite"] == 1
+    assert calls["walks"] == 1
     assert len(typed) == {"HA3": 6, "HA7": 10, "E8": 0}[name]
     assert len({frozenset(labels) for labels in typed}) == len(typed)
     if name == "E8":
         assert [set(labels) for labels in closed] == [set(gcm.labels[:-1])]
-    else:
-        assert closed == typed
-    assert calls["walks"] == 1
+        return
+    expected = Counter()
+    for labels in typed:
+        sub = gcm.subdiagram([gcm.index_of(label) for label in labels])
+        if cartan_type(sub) == "finite":
+            expected[frozenset(labels)] += 1
+            continue
+        for nu in range(sub.rank):
+            nodes = [mu for mu in range(sub.rank) if mu != nu]
+            if len(coxeter._components(sub, nodes)) == 1:
+                expected[frozenset(sub.labels[mu] for mu in nodes)] += 1
+    assert Counter(map(frozenset, closed)) == expected
+    assert name != "HA3" or expected[frozenset({"1", "2", "3"})] == 2
 
 
 def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle(connected_gcms):
@@ -582,7 +596,7 @@ def test_bott_factor_of_every_small_affine_matrix_matches_the_orbit_oracle(conne
                 continue
             found[rank] += 1
             entries = [list(row) + [0] for row in gcm.entries] + [[0] * rank + [2]]
-            lam, factor = weyl._parabolic(validate_gcm(entries), 20)
+            lam, factor = coxeter._parabolic(validate_gcm(entries), 20)
             assert lam == (0,) * rank + (1,)
             assert factor.coeffs == weyl_orbit_oracle(gcm, 20).coeffs, gcm.entries
     assert found == {2: 3, 3: 25}
@@ -607,7 +621,7 @@ def test_a_subgroup_of_two_affine_components_is_one_bott_series(name):
     # small: the checked count of the first matrix at order 30 held 1.6 GB.
     entries, bases, order = TWO_AFFINE[name]
     gcm = validate_gcm(entries)
-    lam, factor = weyl._parabolic(gcm, order)
+    lam, factor = coxeter._parabolic(gcm, order)
     assert lam == (0,) * (gcm.rank - 1) + (1,)
     product = IntPolynomial((1,))
     for base in bases:
@@ -623,14 +637,14 @@ def test_full_history_check_catches_a_wrong_affine_factor_at_the_order(monkeypat
     # Bott's series with its coefficient at the order, 10, one too high
     # changes only that coefficient of the count.  The check of W_J(t) must
     # reach the order to refuse it.
-    bott = weyl.affine_poincare
+    bott = coxeter.affine_poincare
 
     def off_at_ten(degrees, order):
         coeffs = list(bott(degrees, order).coeffs)
         coeffs[10] += 1
         return TruncatedSeries(tuple(coeffs))
 
-    monkeypatch.setattr(weyl, "affine_poincare", off_at_ten)
+    monkeypatch.setattr(coxeter, "affine_poincare", off_at_ten)
     gcm = build_catalog("HA3").gcm
     wrong = enumerate_levels(gcm, 10).coeffs
     assert wrong[:10] == HA3_GROWTH_REFERENCE[:10] and wrong[10] == HA3_GROWTH_REFERENCE[10] + 1
@@ -646,7 +660,7 @@ def test_a_count_walks_the_cosets_of_its_affine_subgroup(name, order, cosets):
     # cosets: the first of three such W_J, which tie; by D4, A3 and nothing
     # the walks held 259,193, 344,118 and 786,430 rows.
     gcm = validate_gcm(FREE3) if name == "free3" else build_catalog(name).gcm
-    lam, factor = weyl._parabolic(gcm, order)
+    lam, factor = coxeter._parabolic(gcm, order)
     assert lam == (1,) + (0,) * (gcm.rank - 1)
     walked = weyl._quotient(gcm, lam, order)
     assert walked(1) == cosets
@@ -1042,7 +1056,7 @@ def test_checkpoint_of_format_7_is_refused(monkeypatch, tmp_path, capsys):
         weyl._quotient(gcm, (0, 0, 0, 1, 0), 10, ck)
         old = weyl.LevelCheckpoint.load(ck, gcm)
     assert old.complete
-    stale = IntPolynomial(tuple(old.tally[:, 0])) * weyl._parabolic(gcm, 10)[1]
+    stale = IntPolynomial(tuple(old.tally[:, 0])) * coxeter._parabolic(gcm, 10)[1]
     assert stale.coeffs[:11] != HA3_GROWTH_REFERENCE[:11]
     with open(ck, "wb") as fh:
         np.savez(fh, version=np.int64(7), algebra_digest=np.str_(old.algebra_digest),
@@ -1130,7 +1144,7 @@ def _forged_waiting_rows(state, gcm, forgery):
         rows[0] = 0
     elif forgery in ("shallow", "deep"):
         level = 5 if forgery == "shallow" else 7
-        rows[0] = weyl._whole_levels(gcm, level, False, weyl._parabolic(gcm, level)[0])[level][0]
+        rows[0] = weyl._whole_levels(gcm, level, False, coxeter._parabolic(gcm, level)[0])[level][0]
     else:
         rows[[0, next_chunk]] = rows[[next_chunk, 0]]
     return rows
@@ -1174,7 +1188,7 @@ def test_checkpoint_rejects_a_forged_waiting_row_before_walking(monkeypatch, tmp
 def test_waiting_row_check_accepts_each_level_of_w_j_at_its_own_level_only(gcm):
     # Each level i of W^J, from the walk to order 6, passes as waiting rows
     # of level i, and fails as rows of level i - 1 or i + 1.
-    lam = weyl._parabolic(gcm, 6)[0]
+    lam = coxeter._parabolic(gcm, 6)[0]
     C = weyl._Cartan(gcm.entries, lam)
     for i, rows in enumerate(weyl._whole_levels(gcm, 6, False, lam)[1:], 1):
         for level in (i - 1, i, i + 1):
